@@ -17,7 +17,7 @@
 //	ablation  §6.3 randomization ablation table
 //	robson    §1 motivation: OOM survival under a memory budget
 //	conc      concurrent throughput: pooled vs thread heaps, scalar vs batch
-//	pause     foreground vs background meshing: tail stalls and RSS (§4.5)
+//	pause     inline vs daemon meshing (one engine, two pause budgets): tail stalls and RSS (§4.5)
 //	scale     free/refill throughput vs goroutine count (sharded global heap)
 //	datapath  object read/write/memset throughput vs goroutine count (lock-free VM translation)
 //	remote    producer–consumer remote frees: message-passing queues vs shard locks
@@ -327,7 +327,7 @@ func ablation() error {
 }
 
 func pause() error {
-	header("Pause: foreground vs background meshing under concurrent traffic (§4.5)")
+	header("Pause: inline (unbounded budget) vs daemon (mesh.max_pause budget) meshing under concurrent traffic (§4.5)")
 	res, err := experiments.Pause(*scale)
 	if err != nil {
 		return err

@@ -62,7 +62,7 @@ func addObserveFlags(fs *flag.FlagSet) observeFlags {
 }
 
 // replayTraced replays stdin's trace with the recorder on and returns the
-// snapshot plus the replayed op count. A final foreground Mesh() pass runs
+// snapshot plus the replayed op count. A final explicit Mesh() pass runs
 // after the replay so the mesh-phase events appear even for traces whose
 // churn never crosses the background trigger.
 func replayTraced(o observeFlags) (mesh.TraceSnapshot, int, error) {
@@ -93,7 +93,7 @@ func replayTraced(o observeFlags) (mesh.TraceSnapshot, int, error) {
 		}
 	}
 	h := workload.NewHarness(a, clock, 10*time.Millisecond)
-	// Replay by hand rather than via Trace.Replay: the final foreground
+	// Replay by hand rather than via Trace.Replay: the final explicit
 	// pass must run at the trace's end-state fragmentation — after the
 	// recorded ops but before leaked objects are drained — or a leaky
 	// trace's meshing opportunity is freed away before we look for it.

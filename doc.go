@@ -9,11 +9,11 @@
 // surface for every runtime knob (see mesh/control.go for the key
 // table). The global heap is sharded for scalability: the paper's
 // single global-heap lock is split into one lock per size class (plus
-// separate locks for large objects and mesh scheduling), and the
-// pointer-to-span table behind every non-local free is a lock-free
-// two-level radix page map (internal/arena) — a lookup is two atomic
-// loads, so frees and refills in distinct size classes never contend
-// (see the lock-hierarchy comment in internal/core/global.go).
+// a separate lock for large objects), and the pointer-to-span table
+// behind every non-local free is a lock-free two-level radix page map
+// (internal/arena) — a lookup is two atomic loads, so frees and refills
+// in distinct size classes never contend (see the lock-hierarchy
+// comment in internal/core/global.go).
 // Cross-thread frees of objects on spans attached to a live heap are
 // message-passing: posted to the owning heap's lock-free MPSC queue
 // (internal/core/remote.go) with a single CAS and recycled by the
@@ -31,18 +31,18 @@
 // way: object reads, writes, and memsets translate through a radix
 // page table of atomic PTEs validated by a seqlock generation, so no
 // byte access ever synchronizes with the allocator (§4.5.1).
-// Compaction can run inline on the free path or — with background
-// meshing enabled — on a daemon goroutine (internal/meshd, the
-// paper's §4.5 background thread) that meshes incrementally and
-// concurrently with the application, so allocation stalls scale with
-// one size class's slice (remap fix-ups bounded by the mesh.max_pause
-// control) rather than pass length, and stall only that class's
-// traffic; Allocator.Close stops the daemon. The root package hosts
-// the repository-level
-// benchmark suite (bench_test.go): one benchmark per table/figure of
-// the paper's evaluation plus hot-path microbenchmarks of the public
-// API. See README.md for the architecture map and how to run the
-// evaluation at full scale.
+// Compaction is one engine with two callers: inline on the free path,
+// or — with background meshing enabled — a daemon goroutine
+// (internal/meshd, the paper's §4.5 background thread). Either way it
+// meshes one size class at a time, concurrently with the application,
+// stalling only that class's traffic; the daemon also bounds every
+// remap fix-up hold by the mesh.max_pause control, so its allocation
+// stalls do not grow with pass length. Allocator.Close stops the
+// daemon. The root package hosts the repository-level benchmark suite
+// (bench_test.go): one benchmark per table/figure of the paper's
+// evaluation plus hot-path microbenchmarks of the public API. See
+// README.md for the architecture map and how to run the evaluation at
+// full scale.
 //
 // The concurrency invariants above are machine-checked by meshvet
 // (internal/analysis, run with `go run ./cmd/meshvet ./...`): the lock

@@ -15,15 +15,11 @@ import (
 // it already holds has a strictly lower rank.
 type LockRank int
 
-// The ranks of the allocator's hierarchy, outermost first. RankSchedMu is
-// reserved: the mesh scheduler's rate-limiter state moved into atomics,
-// but the slot keeps its documented position for tooling and for any
-// future scheduler lock.
+// The ranks of the allocator's hierarchy, outermost first.
 const (
 	RankMeshBarrier LockRank = 1 + iota
 	RankShard
 	RankLargeMu
-	RankSchedMu
 	RankLeaf
 )
 
@@ -74,14 +70,12 @@ func Default() *LockSpec {
 			{RankMeshBarrier, "meshBarrier"},
 			{RankShard, "classes[c].mu"},
 			{RankLargeMu, "largeMu"},
-			{RankSchedMu, "schedMu"},
 			{RankLeaf, "arena/vm internals"},
 		},
 		Locks: []LockID{
 			{core + ".GlobalHeap", "meshBarrier", RankMeshBarrier, "GlobalHeap.meshBarrier"},
 			{core + ".classState", "mu", RankShard, "classState.mu"},
 			{core + ".GlobalHeap", "largeMu", RankLargeMu, "GlobalHeap.largeMu"},
-			{core + ".GlobalHeap", "schedMu", RankSchedMu, "GlobalHeap.schedMu"}, // reserved, no current field
 			{"repro/internal/arena.Arena", "mu", RankLeaf, "Arena.mu"},
 			{"repro/internal/vm.OS", "mu", RankLeaf, "OS.mu"},
 		},
@@ -93,8 +87,8 @@ func Default() *LockSpec {
 			"(*" + core + ".ThreadHeap).DrainRemoteFrees": "drain points re-enter the hierarchy (shard locks, maybeMesh)",
 			"(*" + core + ".ThreadHeap).drainRemote":      "drain points re-enter the hierarchy (shard locks, maybeMesh)",
 			"(*" + core + ".GlobalHeap).maybeMesh":        "the mesh trigger may take the barrier and every lock below it",
-			"(*" + core + ".GlobalHeap).Mesh":             "a full pass takes the barrier and every lock below it",
-			"(*" + core + ".GlobalHeap).MeshBackground":   "a background slice takes the barrier and every lock below it",
+			"(*" + core + ".GlobalHeap).Mesh":             "a pass takes the barrier and every lock below it",
+			"(*" + core + ".GlobalHeap).MeshBackground":   "a pass takes the barrier and every lock below it",
 		},
 	}
 }

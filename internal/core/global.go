@@ -64,10 +64,11 @@ type Config struct {
 	// Clock supplies time for rate limiting and pause measurement; nil uses
 	// the wall clock.
 	Clock Clock
-	// MaxPause bounds each shard-lock hold of a background meshing slice
-	// (§4.5's bounded-pause goal): the fix-up loop releases the lock once the
+	// MaxPause is the pause budget of the daemon's passes (§4.5's
+	// bounded-pause goal): the fix-up loop releases the shard lock once the
 	// budget is spent and continues under a fresh acquisition. 0 keeps the
-	// default (1 ms); foreground passes are never sliced.
+	// default (1 ms). Mesh, the inline and explicit pass, runs with an
+	// unbounded budget.
 	MaxPause time.Duration
 	// BackgroundMeshing routes the free-path mesh trigger to a registered
 	// notifier (the meshd daemon) instead of running the pass inline on the
@@ -76,7 +77,7 @@ type Config struct {
 	BackgroundMeshing bool
 	// MeshStepCost, when positive, is charged to an AdvancingClock for every
 	// pair meshed. Real runs leave it 0; simulated-clock tests set it so
-	// pass and slice durations — and therefore the pause histogram — are
+	// pass durations — and therefore the pause histogram — are
 	// deterministic.
 	MeshStepCost time.Duration
 	// MeshCopyCost, when positive, sleeps this long per object copied
@@ -147,7 +148,7 @@ type Config struct {
 	MagazineObjects int
 }
 
-// DefaultMaxPause is the per-slice pause bound used when Config.MaxPause
+// DefaultMaxPause is the daemon's pause budget used when Config.MaxPause
 // is zero.
 const DefaultMaxPause = time.Millisecond
 
@@ -201,10 +202,11 @@ func pauseBucket(d time.Duration) int {
 }
 
 // PauseHistogram is the distribution of meshing pauses — every interval the
-// engine held a heap shard lock (§4.5.3): a foreground pass contributes one
-// pause per size class it worked on; each background slice contributes its
-// candidate-selection and remap-fix-up critical sections. Comparable with
-// ==, so snapshots diff cheaply in tests.
+// engine held a heap shard lock (§4.5.3). Each size-class visit that claims
+// mesh pairs contributes its candidate-selection hold and each of its
+// remap fix-up chunks (one chunk under Mesh's unbounded budget); visits
+// that find nothing to mesh record nothing. Comparable with ==, so
+// snapshots diff cheaply in tests.
 type PauseHistogram struct {
 	Count   uint64        // pauses recorded
 	Total   time.Duration // summed pause time
@@ -220,7 +222,7 @@ type MeshStats struct {
 	SpansMeshed  uint64         // source spans freed by meshing
 	BytesFreed   uint64         // physical bytes released by meshing
 	BytesCopied  uint64         // object bytes consolidated
-	TotalTime    time.Duration  // time spent meshing (passes and slices, including off-lock copy)
+	TotalTime    time.Duration  // time spent in class visits that claimed pairs, including off-lock copy
 	LongestPause time.Duration  // longest single shard-lock hold (== Pauses.Longest)
 	Pauses       PauseHistogram // distribution of shard-lock holds by the engine
 }
@@ -312,10 +314,10 @@ func (cs *classState) binRemove(b int, mh *miniheap.MiniHeap) {
 // in distinct size classes proceed in parallel. From outermost to
 // innermost, the locks are:
 //
-//	meshBarrier            — held by the meshing engine for every
-//	                         protect→remap window (a foreground pass in
-//	                         full, a background slice per class); the
-//	                         write-fault hook waits on it and nothing else.
+//	meshBarrier            — held by the meshing engine for each size
+//	                         class's protect→remap window, whatever the
+//	                         pause budget; the write-fault hook waits on
+//	                         it and nothing else.
 //	classes[c].mu          — one shard lock per size class, guarding the
 //	                         class's bins, full set, registry, RNG, and all
 //	                         arena ownership updates (Register/Reassign/
@@ -324,13 +326,6 @@ func (cs *classState) binRemove(b int, mh *miniheap.MiniHeap) {
 //	                         CheckIntegrity holds several, in ascending
 //	                         class order.
 //	largeMu                — guards the large-object registry.
-//	schedMu                — reserved rank: the mesh scheduler's
-//	                         rate-limiter lock from the sharding work. Its
-//	                         state (mesh period, last-mesh stamp, pause
-//	                         budget) now lives in atomics, so no field
-//	                         currently carries this name, but the slot
-//	                         stays in the order so meshvet and any future
-//	                         scheduler lock keep the documented rank.
 //	arena/vm internals     — the arena's dirty-bin mutex and the simulated
 //	                         OS's mapping mutex; leaves of the order.
 //
@@ -341,9 +336,9 @@ func (cs *classState) binRemove(b int, mh *miniheap.MiniHeap) {
 //
 // Below all of them sits the VM's translation seqlock (vm.OS's generation
 // counter): not a lock but a retry protocol. Remap/Unmap/Protect bump it
-// inside the vm mapping mutex, so every protect→copy→remap window a slice
-// performs bumps the generation at least twice — once at the protect, once
-// per remap — and any lock-free data access that overlapped the window
+// inside the vm mapping mutex, so every protect→copy→remap window the
+// engine opens bumps the generation at least twice — once at the protect,
+// once per remap — and any lock-free data access that overlapped the window
 // discards its result and retries onto the new page-table entries. That
 // retry is what preserves the §4.5.2 invariant for readers of a
 // meshed-away page (the destination holds identical contents by the time
@@ -453,8 +448,8 @@ type GlobalHeap struct {
 	lastMesh     atomic.Int64 // ns on the heap clock
 	meshDisarmed atomic.Bool  // last pass freed < MinMeshSavings
 
-	// meshInline collapses concurrent foreground free-path triggers into
-	// one pass; explicit Mesh calls bypass it.
+	// meshInline collapses concurrent inline free-path triggers into one
+	// pass; explicit Mesh calls bypass it.
 	meshInline atomic.Bool
 
 	liveBytes   atomic.Int64
@@ -565,14 +560,14 @@ func NewGlobalHeap(cfg Config) *GlobalHeap {
 	g.harden.SetQuarantine(cfg.Quarantine)
 	g.oomBackpressure.Store(cfg.OOMBackpressure)
 	// Mesh's write barrier: a write faulting on a protected page waits out
-	// whichever meshing mode is in flight, then retries; by then the page
-	// has been remapped read-write (§4.5.2). Every protect→remap window —
-	// a foreground pass in full, a background slice per class — is enclosed
-	// in one meshBarrier hold, so waiting on the barrier alone guarantees
-	// the racing mesh finished its remap (§4.5.3 — the SIGSEGV handler
+	// the class visit in flight, then retries; by then the page has been
+	// remapped read-write (§4.5.2). Every protect→remap window — one size
+	// class's visit, whatever the pause budget — is enclosed in one
+	// meshBarrier hold, so waiting on the barrier alone guarantees the
+	// racing mesh finished its remap (§4.5.3 — the SIGSEGV handler
 	// "waits on the mesh lock"). The hook must not touch shard locks: it
 	// runs on application goroutines that hold no heap locks, and taking a
-	// shard lock here would deadlock against an engine slice that protects
+	// shard lock here would deadlock against an engine visit that protects
 	// spans and then copies while the fix-up still needs the same shard.
 	osv.SetFaultHook(func(addr uint64) {
 		start := g.clock.Now()
@@ -1077,7 +1072,7 @@ func (g *GlobalHeap) freeSmallLocked(cs *classState, addr uint64, preAccounted b
 	}
 	if mh.IsPinned() {
 		// Span is mid-mesh (§4.5.2): the bitmap update above is visible to
-		// the meshing slice's fix-up (bits only clear, so disjointness is
+		// the engine's fix-up (bits only clear, so disjointness is
 		// preserved), and the engine re-files the span when it unpins. It
 		// must not be re-binned — or worse, destroyed — here.
 		return true, herr

@@ -140,7 +140,7 @@ func (g *GlobalHeap) SetMinMeshSavings(bytes int) { g.minSavings.Store(int64(byt
 // MinMeshSavings returns the current pass-productivity threshold.
 func (g *GlobalHeap) MinMeshSavings() int { return int(g.minSavings.Load()) }
 
-// SetMaxPause adjusts the per-slice pause bound of background meshing at
+// SetMaxPause adjusts the pause budget of the daemon's meshing passes at
 // runtime; d <= 0 restores the default.
 func (g *GlobalHeap) SetMaxPause(d time.Duration) {
 	if d <= 0 {
@@ -149,7 +149,7 @@ func (g *GlobalHeap) SetMaxPause(d time.Duration) {
 	g.maxPause.Store(int64(d))
 }
 
-// MaxPause returns the current per-slice pause bound.
+// MaxPause returns the current pause budget of the daemon's passes.
 func (g *GlobalHeap) MaxPause() time.Duration {
 	return time.Duration(g.maxPause.Load())
 }
@@ -186,9 +186,9 @@ func (g *GlobalHeap) SplitMesherT() int { return int(g.splitMesherT.Load()) }
 func (g *GlobalHeap) CheckInvariants() error { return g.CheckIntegrity() }
 
 func (g *GlobalHeap) CheckIntegrity() error {
-	// Serialize with any in-flight background slice (which parks pinned,
+	// Serialize with any in-flight engine class visit (which parks pinned,
 	// momentarily bin-less spans between its critical sections): the mesh
-	// barrier is held for a slice's whole protect→remap window, so under
+	// barrier is held for a visit's whole protect→remap window, so under
 	// barrier + shard locks every span is in a steady state.
 	g.meshBarrier.Lock()
 	defer g.meshBarrier.Unlock()

@@ -60,15 +60,17 @@ func TestMeshPauseStatsDeterministic(t *testing.T) {
 		t.Fatalf("released %d spans, want 1", released)
 	}
 	ms := g.Stats().Mesh
-	// One pair at 1 ms of simulated cost: the full pass held the lock for
-	// exactly 1 ms of clock time.
+	// One pair at 1 ms of simulated cost, in the one class that claimed a
+	// pair: its plan hold takes no clock time and its single fix-up hold
+	// (the budget is unbounded) takes exactly 1 ms.
 	if ms.LongestPause != cost {
 		t.Fatalf("LongestPause = %v, want %v", ms.LongestPause, cost)
 	}
 	if ms.TotalTime != cost {
 		t.Fatalf("TotalTime = %v, want %v", ms.TotalTime, cost)
 	}
-	want := PauseHistogram{Count: 1, Total: cost, Longest: cost}
+	want := PauseHistogram{Count: 2, Total: cost, Longest: cost}
+	want.Buckets[pauseBucket(0)] = 1
 	want.Buckets[pauseBucket(cost)] = 1
 	if ms.Pauses != want {
 		t.Fatalf("Pauses = %+v, want %+v", ms.Pauses, want)
@@ -235,93 +237,105 @@ func TestBackgroundModeNudgesInsteadOfMeshing(t *testing.T) {
 
 // TestMeshBackgroundConcurrentWriters drives the §4.5.2 write-barrier
 // protocol at the core layer: writer goroutines hammer live objects while
-// background passes mesh their spans out from under them. Every write must
-// either land before the copy (and be carried by it) or fault, wait out
-// the barrier, and land in the destination span.
+// meshing passes move their spans out from under them, with the daemon's
+// bounded budget and with Mesh's unbounded one (both copy off the shard
+// lock). Every write must either land before the copy (and be carried by
+// it) or fault, wait out the barrier, and land in the destination span.
 func TestMeshBackgroundConcurrentWriters(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 7
-	// Widen each pair's protect→remap window to a realistic copy duration;
-	// instant copies would make writer/barrier collisions vanishingly rare.
-	cfg.MeshCopyCost = 20 * time.Microsecond
-	g := NewGlobalHeap(cfg)
-	th := NewThreadHeap(g, 1)
-	keep := fragmentHeap(t, g, th, 32)
+	for _, pass := range []struct {
+		name string
+		run  func(g *GlobalHeap) int
+	}{
+		{"MeshBackground", func(g *GlobalHeap) int { return g.MeshBackground(100 * time.Microsecond) }},
+		{"Mesh", (*GlobalHeap).Mesh},
+	} {
+		t.Run(pass.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Seed = 7
+			// Widen each pair's protect→remap window to a realistic copy
+			// duration; instant copies would make writer/barrier
+			// collisions vanishingly rare.
+			cfg.MeshCopyCost = 20 * time.Microsecond
+			g := NewGlobalHeap(cfg)
+			th := NewThreadHeap(g, 1)
+			keep := fragmentHeap(t, g, th, 32)
 
-	addrs := make([]uint64, 0, len(keep))
-	for a := range keep {
-		addrs = append(addrs, a)
-	}
-	const workers = 4
-	if len(addrs)%workers != 0 {
-		t.Fatalf("%d live objects not divisible by %d workers", len(addrs), workers)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	errc := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			val := byte(w + 1)
-			// Worker w owns addresses at indices ≡ w mod workers, so
-			// ownership is disjoint and every read-back must see the
-			// worker's own last write — a lost update is a barrier bug.
-			for i := w; ; i += workers {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				a := addrs[i%len(addrs)]
-				if err := g.OS().Write(a, []byte{val}); err != nil {
-					errc <- err
-					return
-				}
-				b, err := g.OS().ByteAt(a)
-				if err != nil {
-					errc <- err
-					return
-				}
-				if b != val {
-					errc <- fmt.Errorf("write to %#x lost: read %d, want %d", a, b, val)
-					return
-				}
+			addrs := make([]uint64, 0, len(keep))
+			for a := range keep {
+				addrs = append(addrs, a)
 			}
-		}(w)
-	}
+			const workers = 4
+			if len(addrs)%workers != 0 {
+				t.Fatalf("%d live objects not divisible by %d workers", len(addrs), workers)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			errc := make(chan error, workers)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					val := byte(w + 1)
+					// Worker w owns addresses at indices ≡ w mod workers, so
+					// ownership is disjoint and every read-back must see the
+					// worker's own last write — a lost update is a barrier bug.
+					for i := w; ; i += workers {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						a := addrs[i%len(addrs)]
+						if err := g.OS().Write(a, []byte{val}); err != nil {
+							errc <- err
+							return
+						}
+						b, err := g.OS().ByteAt(a)
+						if err != nil {
+							errc <- err
+							return
+						}
+						if b != val {
+							errc <- fmt.Errorf("write to %#x lost: read %d, want %d", a, b, val)
+							return
+						}
+					}
+				}(w)
+			}
 
-	// Run background passes while the writers hammer; churning fresh
-	// fragmented spans between passes keeps meshing candidates flowing.
-	for round := 0; round < 8; round++ {
-		churn := NewThreadHeap(g, uint64(10+round))
-		fragmentHeap(t, g, churn, 8)
-		g.MeshBackground(100 * time.Microsecond)
-	}
-	close(stop)
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-	if err := g.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-	st := g.Stats()
-	if st.Mesh.SpansMeshed == 0 {
-		t.Fatal("no spans meshed during the concurrent run")
-	}
-	// With windows hundreds of microseconds wide and four writers cycling
-	// every live object, some writes must have hit protected spans and
-	// taken the §4.5.2 fault path.
-	if st.VM.Faults == 0 {
-		t.Fatal("no write faults taken: the write barrier never engaged")
+			// Run passes while the writers hammer; churning fresh fragmented
+			// spans between passes keeps meshing candidates flowing.
+			for round := 0; round < 8; round++ {
+				churn := NewThreadHeap(g, uint64(10+round))
+				fragmentHeap(t, g, churn, 8)
+				pass.run(g)
+			}
+			close(stop)
+			wg.Wait()
+			close(errc)
+			for err := range errc {
+				t.Fatal(err)
+			}
+			if err := g.CheckIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+			st := g.Stats()
+			if st.Mesh.SpansMeshed == 0 {
+				t.Fatal("no spans meshed during the concurrent run")
+			}
+			// With windows hundreds of microseconds wide and four writers cycling
+			// every live object, some writes must have hit protected spans and
+			// taken the §4.5.2 fault path.
+			if st.VM.Faults == 0 {
+				t.Fatal("no write faults taken: the write barrier never engaged")
+			}
+		})
 	}
 }
 
-// BenchmarkMeshBackgroundPass measures one incremental background pass on
-// a freshly fragmented heap — the daemon's unit of work, and the
-// counterpart of BenchmarkMeshPass for the foreground engine.
+// BenchmarkMeshBackgroundPass measures one budgeted background pass on a
+// freshly fragmented heap — the daemon's unit of work, and the
+// counterpart of BenchmarkMeshPass's unbounded Mesh passes.
 func BenchmarkMeshBackgroundPass(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Clock = NewLogicalClock()

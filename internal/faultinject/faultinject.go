@@ -63,14 +63,14 @@ const (
 	// protect-to-read-only evaluates the site; restoring read-write is
 	// the abort path's recovery step and must be infallible.
 	SiteVMProtect
-	// SiteMeshProtect: abort a mesh pass after the protect phase,
-	// before any copying.
+	// SiteMeshProtect: abandon the size class being meshed after the
+	// protect phase, before any copying.
 	SiteMeshProtect
-	// SiteMeshCopy: abort a mesh pass mid-copy, discarding the partial
-	// copy.
+	// SiteMeshCopy: abandon the size class being meshed mid-copy,
+	// discarding the partial copy.
 	SiteMeshCopy
-	// SiteMeshRemap: abort a mesh pass after copying, before the remap
-	// fix-up.
+	// SiteMeshRemap: abandon the size class being meshed after copying,
+	// before the remap fix-up.
 	SiteMeshRemap
 	// SiteRemoteSegment: fail a remote-free segment allocation, forcing
 	// the push onto the shard-locked fallback.

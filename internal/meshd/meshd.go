@@ -9,16 +9,17 @@
 //   - the period timer: the paper's rate limit (at most one pass per mesh
 //     period) evaluated against the heap's injected clock;
 //   - free pressure: a free reaching the global heap re-arms the mesh
-//     timer and nudges the daemon (replacing the old inline pass);
+//     timer and nudges the daemon (instead of meshing inline);
 //   - memory pressure: when a resident-memory limit is set (the cgroup
-//     model of §1) and RSS crosses PressurePct of it, a pass runs even if
+//     model of §1) and RSS crosses pressurePct of it, a pass runs even if
 //     the rate limiter says not due — compaction is the OOM escape hatch.
 //
-// Work is delegated to core.GlobalHeap.MeshBackground, the incremental
-// engine: one size class per barrier window, holding only that class's
-// shard lock (traffic in every other size class is never stalled at all),
-// object copies performed off the lock under the §4.5.2 write-protection
-// barrier, and every lock hold bounded by the heap's max-pause setting.
+// Work is delegated to core.GlobalHeap.MeshBackground: the heap's one
+// meshing engine, run with the mesh.max_pause budget. It meshes one size
+// class per barrier window, holding only that class's shard lock (traffic
+// in every other size class is never stalled at all), copies objects off
+// the lock under the §4.5.2 write-protection barrier, and bounds every
+// lock hold by the budget.
 package meshd
 
 import (
@@ -41,23 +42,20 @@ const (
 	// enough to widen race windows in chaos runs, short enough that a
 	// stalled pass still completes promptly.
 	stallSleep = 2 * time.Millisecond
+	// pressurePct is the RSS/limit percentage at which memory pressure
+	// forces a pass regardless of rate limiting.
+	pressurePct = 90
 )
 
 // Config parameterizes a Daemon. The zero value is usable: every field
 // has a default.
 type Config struct {
-	// MaxPause bounds each shard-lock hold of a pass; <= 0 uses the
-	// heap's runtime mesh.max_pause setting.
-	MaxPause time.Duration
 	// PollInterval is the wall-clock wake-up granularity of the period
 	// timer; <= 0 derives it from the heap's mesh period, clamped to
 	// [1ms, 1s]. (The rate limit itself is evaluated against the heap's
 	// clock, which may be logical; the poll only decides how often the
 	// daemon looks.)
 	PollInterval time.Duration
-	// PressurePct is the RSS/limit percentage at which memory pressure
-	// forces a pass regardless of rate limiting; <= 0 means 90.
-	PressurePct int
 }
 
 // Stats counts daemon activity, by trigger.
@@ -102,9 +100,6 @@ type Daemon struct {
 
 // New returns a stopped daemon bound to g.
 func New(g *core.GlobalHeap, cfg Config) *Daemon {
-	if cfg.PressurePct <= 0 {
-		cfg.PressurePct = 90
-	}
 	return &Daemon{
 		g:     g,
 		cfg:   cfg,
@@ -129,7 +124,7 @@ func (d *Daemon) Start() {
 	go d.supervise(d.stop, d.done)
 }
 
-// Stop halts the daemon and restores inline (foreground) meshing. It
+// Stop halts the daemon and restores inline meshing on the free path. It
 // blocks until any in-flight pass finishes, so after Stop returns no
 // daemon work races the caller. Idempotent.
 func (d *Daemon) Stop() {
@@ -158,12 +153,12 @@ func (d *Daemon) Nudge() {
 	}
 }
 
-// RunPass runs one incremental pass synchronously on the caller's
-// goroutine, bypassing the rate limiter — deterministic hook for tests and
-// experiments. It is safe alongside a running daemon (passes serialize on
-// the mesh barrier per size class).
+// RunPass runs one pass with the mesh.max_pause budget synchronously on
+// the caller's goroutine, bypassing the rate limiter — deterministic hook
+// for tests and experiments. It is safe alongside a running daemon (passes
+// serialize on the mesh barrier per size class).
 func (d *Daemon) RunPass() int {
-	released := d.g.MeshBackground(d.cfg.MaxPause)
+	released := d.g.MeshBackground(0)
 	d.spansReleased.Add(uint64(released))
 	return released
 }
@@ -190,8 +185,8 @@ func (d *Daemon) Restarts() uint64 { return d.restarts.Load() }
 // fault — recovers, counts the restart, waits out a capped exponential
 // backoff (interruptible by Stop), and runs the loop again. A panicked
 // pass holds no heap locks at the panic sites (the engine releases its
-// locks before returning), so the heap stays usable and foreground
-// meshing keeps working while the daemon is down. Background meshing is
+// locks before returning), so the heap stays usable and explicit Mesh
+// calls keep working while the daemon is down. Background meshing is
 // a performance feature; losing the goroutine forever to one panic
 // would silently turn the allocator into its no-daemon configuration.
 func (d *Daemon) supervise(stop, done chan struct{}) {
@@ -312,12 +307,12 @@ func (d *Daemon) pollEvery() time.Duration {
 	return p
 }
 
-// underPressure reports whether RSS has crossed PressurePct of a
+// underPressure reports whether RSS has crossed pressurePct of a
 // configured resident-memory limit.
 func (d *Daemon) underPressure() bool {
 	limit := d.g.OS().MemoryLimit()
 	if limit <= 0 {
 		return false
 	}
-	return d.g.OS().RSSPages()*100 >= limit*int64(d.cfg.PressurePct)
+	return d.g.OS().RSSPages()*100 >= limit*pressurePct
 }

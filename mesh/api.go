@@ -1,17 +1,12 @@
 package mesh
 
-import (
-	"time"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // This file carries the rest of the interposed libc surface (§4) on the
-// public types, plus the deprecated predecessors of the Control surface.
-// Allocator-level calls take the front end's stripe-cached heap (falling
-// back to a pool borrow) and are safe for concurrent use; Thread-level
-// calls run on the pinned heap. These composite operations use the
-// cached heap directly rather than the magazines — their inner
+// public types. Allocator-level calls take the front end's stripe-cached
+// heap (falling back to a pool borrow) and are safe for concurrent use;
+// Thread-level calls run on the pinned heap. These composite operations
+// use the cached heap directly rather than the magazines — their inner
 // mallocs/frees are not the scalar hot path — so they keep the locked
 // path's full error detection.
 
@@ -100,25 +95,3 @@ func (a *Allocator) LargeObjectStats() LargeStats { return a.g.LargeStatsSnapsho
 // the debug.check_invariants control, which returns the violation text
 // (or "") instead of an error.
 func (a *Allocator) CheckIntegrity() error { return a.g.CheckIntegrity() }
-
-// SetMeshPeriod adjusts the meshing rate limit at runtime.
-//
-// Deprecated: use Control("mesh.period", d).
-func (a *Allocator) SetMeshPeriod(d time.Duration) { _ = a.Control("mesh.period", d) }
-
-// SetMeshingEnabled toggles compaction at runtime.
-//
-// Deprecated: use Control("mesh.enabled", enabled).
-func (a *Allocator) SetMeshingEnabled(enabled bool) { _ = a.Control("mesh.enabled", enabled) }
-
-// SetMemoryLimit caps the simulated resident memory at limit bytes
-// (rounded down to whole pages); allocations beyond it fail, modeling a
-// memory control group or a constrained device (§1). Pass 0 to remove.
-//
-// Deprecated: use Control("os.memory_limit", limit).
-func (a *Allocator) SetMemoryLimit(limit int64) {
-	if limit < 0 {
-		limit = 0
-	}
-	_ = a.Control("os.memory_limit", limit)
-}

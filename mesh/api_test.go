@@ -88,14 +88,20 @@ func TestThreadMallocSurface(t *testing.T) {
 func TestRuntimeKnobsPublic(t *testing.T) {
 	clk := NewLogicalClock()
 	a := New(WithSeed(1), WithClock(clk), WithMeshPeriod(time.Hour))
-	// With a huge period, automatic meshing never fires; SetMeshPeriod(0)
+	// With a huge period, automatic meshing never fires; mesh.period=0
 	// plus a global free re-enables it.
-	a.SetMeshPeriod(0)
-	a.SetMeshingEnabled(false)
+	if err := a.Control("mesh.period", time.Duration(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Control("mesh.enabled", false); err != nil {
+		t.Fatal(err)
+	}
 	if a.Mesh() != 0 {
 		t.Fatal("disabled allocator meshed")
 	}
-	a.SetMeshingEnabled(true)
+	if err := a.Control("mesh.enabled", true); err != nil {
+		t.Fatal(err)
+	}
 	// Stats plumbing for the new introspection APIs.
 	p, _ := a.Malloc(100)
 	cs := a.ClassStats()
@@ -116,7 +122,9 @@ func TestRuntimeKnobsPublic(t *testing.T) {
 
 func TestSetMemoryLimit(t *testing.T) {
 	a := det()
-	a.SetMemoryLimit(64 * 1024) // 16 pages
+	if err := a.Control("os.memory_limit", int64(64*1024)); err != nil { // 16 pages
+		t.Fatal(err)
+	}
 	var ps []Ptr
 	for {
 		p, err := a.Malloc(4096)
@@ -128,7 +136,9 @@ func TestSetMemoryLimit(t *testing.T) {
 	if len(ps) == 0 || len(ps) > 16 {
 		t.Fatalf("allocated %d pages under a 16-page budget", len(ps))
 	}
-	a.SetMemoryLimit(0)
+	if err := a.Control("os.memory_limit", int64(0)); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := a.Malloc(4096); err != nil {
 		t.Fatalf("limit removal ineffective: %v", err)
 	}

@@ -22,7 +22,7 @@ import (
 //	mesh.period       time.Duration   rw        min interval between meshing passes (§4.5)
 //	mesh.enabled      bool            rw        compaction engine on/off (§6.3 "no meshing")
 //	mesh.background   bool            rw        background daemon on/off (§4.5 dedicated meshing thread)
-//	mesh.max_pause    time.Duration   rw        per-slice lock-hold bound of background passes
+//	mesh.max_pause    time.Duration   rw        pause budget: shard-lock-hold bound of the daemon's passes
 //	mesh.min_savings  int (bytes)     rw        pass-productivity threshold that disarms the timer (§4.5)
 //	mesh.split_t      int             rw        SplitMesher probe budget (§3.3, paper t=64)
 //	mesh.compact      (ignored)       w         force a full meshing pass now
@@ -179,9 +179,9 @@ var controls = map[string]control{
 		get: func(a *Allocator) (any, error) { return a.g.SplitMesherT(), nil },
 	},
 	"mesh.compact": {
-		// Route through Allocator.Mesh so a running daemon serves the pass
-		// with the incremental engine (bounded pauses), like explicit Mesh
-		// calls.
+		// Route through Allocator.Mesh so the pass gets the same pause
+		// budget as explicit Mesh calls: mesh.max_pause while the daemon
+		// runs, unbounded otherwise.
 		set: func(a *Allocator, _ any) error { a.Mesh(); return nil },
 	},
 	"remote.queue": {

@@ -468,26 +468,6 @@ func TestContentionIntrospection(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersStillWork pins the compatibility contract: the old
-// setter methods must keep compiling and steering the same state as the
-// Control surface.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	a := New()
-	a.SetMeshPeriod(123 * time.Millisecond)
-	if got, _ := a.ReadControl("mesh.period"); got != 123*time.Millisecond {
-		t.Fatalf("SetMeshPeriod not visible through ReadControl: %v", got)
-	}
-	a.SetMeshingEnabled(false)
-	if got, _ := a.ReadControl("mesh.enabled"); got != false {
-		t.Fatalf("SetMeshingEnabled not visible through ReadControl: %v", got)
-	}
-	a.SetMemoryLimit(8 * PageSize)
-	if got, _ := a.ReadControl("os.memory_limit"); got != int64(8*PageSize) {
-		t.Fatalf("SetMemoryLimit not visible through ReadControl: %v", got)
-	}
-	a.SetMemoryLimit(0)
-}
-
 // TestVMCounterShapes pins the translation/retry counters to traffic
 // shapes: a multi-page access through one span costs one translation, each
 // additional access costs one more, and an uncontended allocator never

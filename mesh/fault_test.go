@@ -44,55 +44,78 @@ func readFaultU64(t testing.TB, a *Allocator, key string) uint64 {
 // invariant check, every surviving object keeps its payload AND stays
 // writable (sources were re-protected ReadWrite, not left read-only),
 // and once the plane is disarmed the same heap meshes successfully.
+// Each plan runs on an inline allocator and on a daemon-routed one, whose
+// Mesh goes through the daemon's budgeted pass: one engine means one abort
+// protocol, so both routes must release the same number of spans.
 func TestMeshAbortEachPhase(t *testing.T) {
+	routes := []struct {
+		name string
+		opts []Option
+	}{
+		{"inline", nil},
+		// The frozen logical clock never reaches the hour-long period, so
+		// the daemon never meshes on its own; only the explicit Mesh runs.
+		{"daemon", []Option{WithBackgroundMeshing(true)}},
+	}
 	for _, plan := range []string{
 		"mesh.protect:count=1",
 		"mesh.copy:count=1",
 		"mesh.remap:count=1",
 	} {
 		t.Run(strings.SplitN(plan, ":", 2)[0], func(t *testing.T) {
-			a := New(WithSeed(3), WithClock(NewLogicalClock()), WithFaultPlan(plan))
-			keep := fragmentPooled(t, a, 64)
+			released := map[string]int{}
+			for _, route := range routes {
+				t.Run(route.name, func(t *testing.T) {
+					a := New(append([]Option{WithSeed(3), WithClock(NewLogicalClock()),
+						WithMeshPeriod(time.Hour), WithFaultPlan(plan)}, route.opts...)...)
+					defer a.Close()
+					keep := fragmentPooled(t, a, 64)
 
-			released := a.Mesh()
-			if hits := readFaultU64(t, a, "stats.fault.injected"); hits < 1 {
-				t.Fatalf("plan %q never fired (released %d spans)", plan, released)
-			}
-			requireCleanInvariants(t, a)
+					released[route.name] = a.Mesh()
+					if hits := readFaultU64(t, a, "stats.fault.injected"); hits < 1 {
+						t.Fatalf("plan %q never fired (released %d spans)", plan, released[route.name])
+					}
+					requireCleanInvariants(t, a)
 
-			// Aborted sources must be readable with their old contents and
-			// writable again: a stuck ReadOnly protection would fault (here:
-			// error) on the write-back.
-			for p, val := range keep {
-				var b [1]byte
-				if err := a.Read(p, b[:]); err != nil {
-					t.Fatalf("read %#x after aborted mesh: %v", p, err)
-				}
-				if b[0] != val {
-					t.Fatalf("object %#x corrupted across aborted mesh: %#x != %#x", p, b[0], val)
-				}
-				if err := a.Write(p, []byte{val}); err != nil {
-					t.Fatalf("object %#x not writable after aborted mesh: %v", p, err)
-				}
-			}
+					// Aborted sources must be readable with their old
+					// contents and writable again: a stuck ReadOnly
+					// protection would fault (here: error) on the write-back.
+					for p, val := range keep {
+						var b [1]byte
+						if err := a.Read(p, b[:]); err != nil {
+							t.Fatalf("read %#x after aborted mesh: %v", p, err)
+						}
+						if b[0] != val {
+							t.Fatalf("object %#x corrupted across aborted mesh: %#x != %#x", p, b[0], val)
+						}
+						if err := a.Write(p, []byte{val}); err != nil {
+							t.Fatalf("object %#x not writable after aborted mesh: %v", p, err)
+						}
+					}
 
-			// Disarm and retry: the abort must not have consumed or wedged
-			// the meshing opportunity.
-			if err := a.Control("fault.enabled", false); err != nil {
-				t.Fatal(err)
+					// Disarm and retry: the abort must not have consumed or
+					// wedged the meshing opportunity.
+					if err := a.Control("fault.enabled", false); err != nil {
+						t.Fatal(err)
+					}
+					if released := a.Mesh(); released == 0 {
+						t.Fatal("no spans released by the post-abort retry pass")
+					}
+					requireCleanInvariants(t, a)
+					for p, val := range keep {
+						var b [1]byte
+						if err := a.Read(p, b[:]); err != nil {
+							t.Fatal(err)
+						}
+						if b[0] != val {
+							t.Fatalf("object %#x corrupted by retry pass: %#x != %#x", p, b[0], val)
+						}
+					}
+				})
 			}
-			if released := a.Mesh(); released == 0 {
-				t.Fatal("no spans released by the post-abort retry pass")
-			}
-			requireCleanInvariants(t, a)
-			for p, val := range keep {
-				var b [1]byte
-				if err := a.Read(p, b[:]); err != nil {
-					t.Fatal(err)
-				}
-				if b[0] != val {
-					t.Fatalf("object %#x corrupted by retry pass: %#x != %#x", p, b[0], val)
-				}
+			if !t.Failed() && released["inline"] != released["daemon"] {
+				t.Fatalf("aborted pass released %d spans inline but %d through the daemon",
+					released["inline"], released["daemon"])
 			}
 		})
 	}

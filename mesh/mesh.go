@@ -81,31 +81,32 @@
 //
 // # Background meshing
 //
-// By default compaction runs inline: a free that reaches the global heap
-// may trigger a whole meshing pass while holding the global lock, stalling
-// every allocating goroutine for the pass (the synchronous baseline). With
-// background meshing — mesh.New(mesh.WithBackgroundMeshing(true)), or
-// Control("mesh.background", true) at runtime — compaction moves to a
-// daemon goroutine (§4.5's dedicated background thread):
+// There is one meshing engine. It works one size class at a time under
+// that class's shard lock, so a pass stalls only same-class traffic, and
+// its copies are concurrent (§4.5.2): source spans are write-protected and
+// objects copied off-lock; reads proceed throughout, racing writers fault
+// and wait until the remap publishes the consolidated span (§4.5.3), then
+// retry successfully. Object contents and addresses are never disturbed.
+//
+// By default the engine runs inline: a free that reaches the global heap
+// may run a whole pass on the freeing goroutine, with each class's remap
+// fix-up done in one shard-lock hold. With background meshing —
+// mesh.New(mesh.WithBackgroundMeshing(true)), or
+// Control("mesh.background", true) at runtime — passes move to a daemon
+// goroutine (§4.5's dedicated background thread):
 //
 //   - Triggers: the mesh-period timer, free-pressure nudges from the
 //     global heap (non-blocking; the freeing goroutine never meshes), and
 //     memory pressure when RSS nears a configured os.memory_limit.
-//   - Incremental passes: one size class per step, so lock holds scale
-//     with a single class's candidates rather than the whole heap, and
-//     the remap fix-up's global-lock holds are additionally bounded by
-//     mesh.max_pause (default 1 ms) — allocation and free latency no
-//     longer depends on pass length.
-//   - Concurrent copies (§4.5.2): source spans are write-protected and
-//     objects copied off-lock; reads proceed throughout, racing writers
-//     fault and wait until the remap publishes the consolidated span
-//     (§4.5.3), then retry successfully. Object contents and addresses
-//     are never disturbed.
+//   - Bounded pauses: the daemon runs the same engine with a pause budget,
+//     mesh.max_pause (default 1 ms); the remap fix-up releases the shard
+//     lock whenever the budget is spent, so allocation and free latency
+//     no longer depends on pass length.
 //
 // Close stops the daemon (idempotent; the allocator remains usable with
 // inline meshing). Pause behaviour is observable through
 // Stats().Mesh.Pauses or ReadControl("stats.mesh.pauses"), a fixed-bucket
-// histogram of every global-lock hold by the engine.
+// histogram of every shard-lock hold by the engine.
 //
 // # Robustness and fault injection
 //
@@ -211,8 +212,8 @@ type RemoteStats = core.RemoteStats
 type HardenStats = harden.Stats
 
 // PauseHistogram is the distribution of meshing pauses — every interval
-// the engine held the allocator's global lock. Read it from
-// Stats().Mesh.Pauses or ReadControl("stats.mesh.pauses").
+// the engine held a size class's shard lock while meshing that class.
+// Read it from Stats().Mesh.Pauses or ReadControl("stats.mesh.pauses").
 type PauseHistogram = core.PauseHistogram
 
 // NumPauseBuckets is the number of fixed buckets in PauseHistogram.
@@ -297,15 +298,16 @@ func WithDirtyPageThreshold(pages int) Option {
 // WithBackgroundMeshing starts the allocator with the background meshing
 // daemon running (§4.5: compaction on a dedicated thread, concurrent with
 // the application): frees nudge the daemon instead of running a pass
-// inline, and passes are incremental, with every allocation stall bounded
-// by the max-pause setting instead of pass length. Toggle at runtime with
+// inline, and the daemon's passes bound every shard-lock hold by the
+// max-pause setting instead of pass length. Toggle at runtime with
 // Control("mesh.background", bool); stop the daemon with Close.
 func WithBackgroundMeshing(enabled bool) Option {
 	return func(c *core.Config) { c.BackgroundMeshing = enabled }
 }
 
-// WithMaxMeshPause bounds each global-lock hold of a background meshing
-// pass (default 1 ms). Runtime-adjustable via Control("mesh.max_pause", d).
+// WithMaxMeshPause sets the daemon's pause budget: the bound on each
+// shard-lock hold of a background meshing pass (default 1 ms).
+// Runtime-adjustable via Control("mesh.max_pause", d).
 func WithMaxMeshPause(d time.Duration) Option {
 	return func(c *core.Config) { c.MaxPause = d }
 }
@@ -458,8 +460,8 @@ func New(opts ...Option) *Allocator {
 // pass) and relinquishes every cached heap — front-end stripes first
 // (magazines flush, their heaps return to the pool), then every idle
 // pooled heap, like Flush. The allocator remains fully usable afterwards
-// — meshing simply reverts to the inline foreground mode — so Close is
-// the quiesce point, not a destructor. Safe to call multiple times and
+// — meshing simply reverts to inline passes on the free path — so Close
+// is the quiesce point, not a destructor. Safe to call multiple times and
 // concurrently with allocator traffic.
 func (a *Allocator) Close() error {
 	a.daemon.Stop()
@@ -511,11 +513,11 @@ func (a *Allocator) Memset(p Ptr, v byte, n int) error { return a.g.OS().Memset(
 
 // Mesh forces a full compaction pass and returns the number of physical
 // spans released. Applications can call this at quiescent points; normally
-// meshing also triggers automatically — inline on frees in foreground
-// mode, or on the daemon's schedule in background mode — rate limited by
-// the mesh period (§4.5). While the daemon is running, the pass runs
-// through the incremental engine so explicit compaction also honors the
-// max-pause bound.
+// meshing also triggers automatically — inline on frees, or on the
+// daemon's schedule with background meshing — rate limited by the mesh
+// period (§4.5). Without the daemon the pass has no pause budget; while
+// the daemon is running, the pass runs with the daemon's mesh.max_pause
+// budget, so explicit compaction also honors the bound.
 func (a *Allocator) Mesh() int {
 	if a.daemon.Running() {
 		return a.daemon.RunPass()
