@@ -27,10 +27,7 @@ func (t *ThreadHeap) MallocBatch(sizes []int, out []uint64) ([]uint64, error) {
 	start := len(out)
 	var bytes int64
 	var n uint64
-	flush := func() {
-		t.localAllocs.Add(n)
-		t.global.noteAllocN(bytes, n)
-	}
+	flush := func() { t.global.noteAllocN(bytes, n) }
 	for _, size := range sizes {
 		class, ok := t.allocClassFor(size)
 		if !ok {
@@ -112,7 +109,6 @@ func (t *ThreadHeap) FreeBatch(addrs []uint64) error {
 		}
 	}
 	if n > 0 {
-		t.localFrees.Add(n)
 		t.global.noteLocalFreeN(bytes, n)
 	}
 	allOwners := owners // full-length view for the post-batch clear

@@ -140,8 +140,7 @@ func TestRefillAcrossSpans(t *testing.T) {
 		}
 		addrs = append(addrs, a)
 	}
-	_, _, refills := th.LocalStats()
-	if refills < 3 {
+	if refills := th.Refills(); refills < 3 {
 		t.Fatalf("refills = %d, want ≥ 3", refills)
 	}
 	for _, a := range addrs {
@@ -151,15 +150,62 @@ func TestRefillAcrossSpans(t *testing.T) {
 	}
 }
 
+// TestRefillAllocationFree pins the refill slow path's zero-Go-allocation
+// property in steady state: detaching a partially full span, filing it in
+// its occupancy bin, picking another from the bin and attaching it —
+// shuffle vector, owner sink publication and bin bookkeeping included —
+// must allocate nothing on the Go heap.
+func TestRefillAllocationFree(t *testing.T) {
+	_, th := testHeap(t, nil)
+	class := mustClass(t, 64)
+	count := sizeclass.ObjectCount(class)
+	// Fill eight spans, then free every other object: the detached spans
+	// become half full and sit in the bins, and the attached one keeps
+	// half its slots in the shuffle vector.
+	addrs := make([]uint64, 0, 8*count)
+	for i := 0; i < 8*count; i++ {
+		a, err := th.Malloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, a)
+	}
+	for i := 0; i < len(addrs); i += 2 {
+		if err := th.Free(addrs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refill := func() {
+		for i := 0; i < 10; i++ {
+			if err := th.refill(class); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	refill() // warm up: the bins' slices reach their steady capacity
+	before := th.Refills()
+	if avg := testing.AllocsPerRun(100, refill); avg != 0 {
+		t.Fatalf("steady-state refills allocate %.1f objects per 10 refills, want 0", avg)
+	}
+	if th.Refills()-before < 1000 {
+		t.Fatalf("measured loop ran %d refills, want at least 1000", th.Refills()-before)
+	}
+}
+
 func TestLocalFreeIsLocal(t *testing.T) {
 	g, th := testHeap(t, nil)
 	addr, _ := th.Malloc(64)
+	acquires, queued := g.ShardAcquires(), g.RemoteQueued()
 	if err := th.Free(addr); err != nil {
 		t.Fatal(err)
 	}
-	_, localFrees, _ := th.LocalStats()
-	if localFrees != 1 {
-		t.Fatalf("localFrees = %d", localFrees)
+	// A local free settles on the shuffle vector: no shard lock, no
+	// remote queue.
+	if got := g.ShardAcquires(); got != acquires {
+		t.Fatalf("shard acquires %d -> %d across a local free", acquires, got)
+	}
+	if got := g.RemoteQueued(); got != queued {
+		t.Fatalf("remote queued %d -> %d across a local free", queued, got)
 	}
 	// And the slot is reusable.
 	addr2, _ := th.Malloc(64)

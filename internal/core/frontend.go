@@ -39,7 +39,6 @@ func (t *ThreadHeap) MallocClassBatch(class, n int, out []uint64) ([]uint64, err
 	start := len(out)
 	var done uint64
 	flush := func() {
-		t.localAllocs.Add(done)
 		t.global.noteAllocN(int64(done)*int64(sizeclass.Size(class)), done)
 	}
 	sv := t.svs[class]

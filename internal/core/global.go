@@ -253,7 +253,8 @@ type HeapStats struct {
 // classState is one size class's shard of the global heap: the detached
 // MiniHeaps (occupancy bins for partially full spans plus a set for full
 // spans), the class registry, the class's RNG stream, and the shard lock
-// that guards them all. Sharding by size class works because every
+// that guards them all, the MiniHeaps' membership slots for these sets
+// included (binset.go). Sharding by size class works because every
 // structural operation — a free's re-bin, a refill, a release, a meshing
 // fix-up — touches spans of exactly one class, so operations in distinct
 // classes never contend (§4.4's global-heap serialization confined to a
@@ -513,10 +514,10 @@ func NewGlobalHeap(cfg Config) *GlobalHeap {
 		// without cross-shard contention on one generator.
 		cs.rnd = rng.New(cfg.Seed ^ 0x6d657368 ^ (uint64(c+1) * 0x9e3779b97f4a7c15)) // "mesh"
 		for b := range cs.bins {
-			cs.bins[b] = newBinSet()
+			cs.bins[b] = newBinSet(miniheap.BinSlot, uint8(tagBin0+b))
 		}
-		cs.full = newBinSet()
-		cs.reg = newBinSet()
+		cs.full = newBinSet(miniheap.BinSlot, tagFull)
+		cs.reg = newBinSet(miniheap.RegSlot, tagReg)
 	}
 	// The flight recorder shares the heap's clock, so trace timestamps
 	// line up with pause measurements and logical-clock runs stay
@@ -811,18 +812,15 @@ func (g *GlobalHeap) destroyLocked(cs *classState, mh *miniheap.MiniHeap) error 
 	return nil
 }
 
-// unbinLocked removes mh from whichever bin currently holds it, if any.
-// Caller holds cs.mu.
+// unbinLocked removes mh from whichever bin currently holds it, if any;
+// its bin slot names the set. Caller holds cs.mu.
 func (g *GlobalHeap) unbinLocked(cs *classState, mh *miniheap.MiniHeap) {
-	if cs.full.contains(mh) {
+	switch tag := mh.Slot(miniheap.BinSlot).Tag; tag {
+	case tagNone:
+	case tagFull:
 		cs.full.remove(mh)
-		return
-	}
-	for b := range cs.bins {
-		if cs.bins[b].contains(mh) {
-			cs.binRemove(b, mh)
-			return
-		}
+	default:
+		cs.binRemove(int(tag-tagBin0), mh)
 	}
 }
 

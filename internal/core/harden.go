@@ -557,7 +557,6 @@ func (t *ThreadHeap) settleQuarantined(entry uint64) {
 			if off, err := mh.OffsetOf(addr); err == nil {
 				t.svs[c].Free(off)
 				if !pre {
-					t.localFrees.Add(1)
 					g.noteLocalFree(mh.ObjectSize())
 				}
 				return

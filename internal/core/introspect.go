@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/harden"
+	"repro/internal/miniheap"
 	"repro/internal/sizeclass"
 )
 
@@ -171,9 +172,13 @@ func (g *GlobalHeap) SplitMesherT() int { return int(g.splitMesherT.Load()) }
 //     matching its occupancy;
 //   - every shard's non-empty bitmask matches its bins' contents;
 //   - every MiniHeap in a full set is detached and full;
+//   - every member of a bin, full set or registry carries that set's tag
+//     and its own index in its membership slot, and every tag a registered
+//     MiniHeap carries names a set that holds it at that index;
 //   - every registered MiniHeap resolves back to itself through the
 //     arena's lock-free page map for each of its virtual spans;
-//   - attached MiniHeaps appear in no bin;
+//   - every detached non-empty MiniHeap has a bin slot, and no attached
+//     one does;
 //   - when no thread heap holds an attached span, the live-byte counter
 //     equals the bitmap census. (Attached spans carry shuffle-vector
 //     reservations — bits set for slots no one has allocated yet, §4.1 —
@@ -207,7 +212,14 @@ func (g *GlobalHeap) CheckIntegrity() error {
 	attachedSpans := 0
 	for c := range g.classes {
 		cs := &g.classes[c]
-		inBins := make(map[uint64]bool)
+		for _, set := range append(cs.bins[:], cs.full, cs.reg) {
+			for i, mh := range set.items {
+				if s := *mh.Slot(set.slot); s.Tag != set.tag || s.Pos != i {
+					return fmt.Errorf("class %d: MiniHeap %d at index %d of the set tagged %d (slot %d) records %+v",
+						c, mh.ID(), i, set.tag, set.slot, s)
+				}
+			}
+		}
 		for b := range cs.bins {
 			if got, want := cs.nonEmpty&(1<<uint(b)) != 0, cs.bins[b].len() > 0; got != want {
 				return fmt.Errorf("class %d: non-empty mask bit %d is %v, bin holds %d",
@@ -227,7 +239,6 @@ func (g *GlobalHeap) CheckIntegrity() error {
 				if !cs.reg.contains(mh) {
 					return fmt.Errorf("class %d: binned MiniHeap %d not in registry", c, mh.ID())
 				}
-				inBins[mh.ID()] = true
 			}
 		}
 		for _, mh := range cs.full.items {
@@ -237,14 +248,18 @@ func (g *GlobalHeap) CheckIntegrity() error {
 			if !cs.reg.contains(mh) {
 				return fmt.Errorf("class %d: full MiniHeap %d not in registry", c, mh.ID())
 			}
-			inBins[mh.ID()] = true
 		}
 		for _, mh := range cs.reg.items {
-			if mh.IsAttached() {
+			tag := mh.Slot(miniheap.BinSlot).Tag
+			switch {
+			case mh.IsAttached() && tag != tagNone:
+				return fmt.Errorf("class %d: attached MiniHeap %d has bin tag %d", c, mh.ID(), tag)
+			case mh.IsAttached():
 				attachedSpans++
-			}
-			if !mh.IsAttached() && !mh.IsEmpty() && !inBins[mh.ID()] {
+			case tag == tagNone && !mh.IsEmpty():
 				return fmt.Errorf("class %d: detached MiniHeap %d in no bin", c, mh.ID())
+			case tag != tagNone && !cs.holdsBinTagged(tag, mh):
+				return fmt.Errorf("class %d: MiniHeap %d tagged for set %d it is not in", c, mh.ID(), tag)
 			}
 			for _, vbase := range mh.Spans() {
 				if got := g.arena.Lookup(vbase); got != mh {
@@ -268,4 +283,16 @@ func (g *GlobalHeap) CheckIntegrity() error {
 		return fmt.Errorf("liveBytes %d != bitmap census %d", live, census)
 	}
 	return nil
+}
+
+// holdsBinTagged reports whether the bin or full set that tag names holds
+// mh at the index its bin slot records. Caller holds cs.mu.
+func (cs *classState) holdsBinTagged(tag uint8, mh *miniheap.MiniHeap) bool {
+	switch {
+	case tag == tagFull:
+		return cs.full.contains(mh)
+	case tag >= tagBin0 && tag < tagFull:
+		return cs.bins[tag-tagBin0].contains(mh)
+	}
+	return false
 }

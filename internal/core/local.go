@@ -14,16 +14,24 @@ import (
 
 // ThreadHeap is a thread-local heap (§4.3): one shuffle vector per size
 // class, a reference to the global heap, and a thread-local RNG. All malloc
-// and free requests start here; the common case touches no locks or atomic
-// operations beyond the MiniHeap bitmap reservation protocol.
+// and free requests start here, and the common case — a shuffle-vector hit
+// — takes no lock and does not touch the span's bitmap (slots are reserved
+// in bulk at attach). It is not free of atomics, though. A small malloc
+// pays one load of the hardening plane's routing flag, one load of the
+// span's published virtual-span list (AddrOf), one load of the flight
+// recorder's enable flag, and two adds on heap-global counters (live bytes
+// and allocations). A local free pays one load of the quarantine flag,
+// arena.Lookup's two page-map loads and one add on a striped lookup
+// counter, one virtual-span-list load (OffsetOf), the recorder's enable
+// load, and two heap-global adds (live bytes and frees).
 //
 // Go has no hookable thread-local storage, so applications (and the
 // workload harness) hold one ThreadHeap per worker goroutine explicitly,
 // or borrow one per call from the mesh package's heap pool. A ThreadHeap
 // is not safe for concurrent use — that is the point of it — but ownership
 // may move between goroutines as long as the hand-off synchronizes (the
-// pool's lock-free free-list provides that edge). The operation counters
-// are atomic so LocalStats can be read while the heap sits idle in a pool.
+// pool's lock-free free-list provides that edge). The refill counter is
+// atomic so Refills can be read while the heap sits idle in a pool.
 type ThreadHeap struct {
 	global   *GlobalHeap
 	rnd      *rng.RNG
@@ -43,8 +51,11 @@ type ThreadHeap struct {
 	// remote is this heap's MPSC remote-free queue (see remote.go): other
 	// threads post frees of objects on our attached spans here instead of
 	// taking shard locks, and we drain at refill, Done, and pool
-	// park/unpark. Its address is published on each attached MiniHeap.
+	// park/unpark. sink boxes it as a miniheap.RemoteSink once for the
+	// heap's lifetime; sink's address is what each attached MiniHeap
+	// publishes, so attaching a span allocates nothing.
 	remote remoteQueue
+	sink   miniheap.RemoteSink
 
 	// phys caches each attached hardened span's physical byte window (nil
 	// for unhardened spans), so the fast-path canary/poison work needs no
@@ -65,9 +76,7 @@ type ThreadHeap struct {
 	// remote-queue events), keyed by the heap id.
 	tr *trace.Source
 
-	localAllocs atomic.Uint64
-	localFrees  atomic.Uint64
-	refills     atomic.Uint64
+	refills atomic.Uint64
 }
 
 // NewThreadHeap creates a thread-local heap bound to g. id distinguishes
@@ -78,6 +87,7 @@ func NewThreadHeap(g *GlobalHeap, id uint64) *ThreadHeap {
 		rnd:    rng.New(g.cfg.Seed*0x9e3779b9 + id),
 		tr:     g.tracer.NewSource(uint32(id)),
 	}
+	t.sink = &t.remote
 	for c := range t.svs {
 		t.svs[c] = shufflevec.New(t.rnd, g.cfg.Randomize)
 	}
@@ -140,7 +150,7 @@ func (t *ThreadHeap) refill(class int) error {
 	}
 	sv.Attach(mh.Bitmap())
 	t.remote.reopen()
-	mh.SetOwner(&t.remote)
+	mh.SetOwner(&t.sink)
 	t.refills.Add(1)
 	return nil
 }
@@ -164,7 +174,6 @@ func (t *ThreadHeap) Free(addr uint64) error {
 		return err
 	}
 	if ok {
-		t.localFrees.Add(1)
 		t.global.noteLocalFree(size)
 		t.tr.Sampled(trace.EvFree, addr, uint64(size))
 		return nil
@@ -260,9 +269,7 @@ func (t *ThreadHeap) flushHardenPasses() {
 	}
 }
 
-// LocalStats reports the thread's operation counts: local allocations,
-// local frees, and shuffle-vector refills. Counters are atomic, so
-// LocalStats is safe to call while the heap is parked in a pool.
-func (t *ThreadHeap) LocalStats() (allocs, frees, refills uint64) {
-	return t.localAllocs.Load(), t.localFrees.Load(), t.refills.Load()
-}
+// Refills reports how many spans the heap has attached to restock an
+// exhausted shuffle vector. Safe to call while the heap is parked in a
+// pool.
+func (t *ThreadHeap) Refills() uint64 { return t.refills.Load() }

@@ -128,7 +128,6 @@ func (t *ThreadHeap) mallocFromClass(class int) (uint64, error) {
 			return 0, err
 		}
 	}
-	t.localAllocs.Add(1)
 	t.global.noteAlloc(sizeclass.Size(class))
 	addr := mh.AddrOf(off)
 	t.tr.Sampled(trace.EvAlloc, addr, uint64(sizeclass.Size(class)))

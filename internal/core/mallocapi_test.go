@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/miniheap"
 	"repro/internal/sizeclass"
 	"repro/internal/vm"
 )
@@ -307,6 +308,72 @@ func TestCheckIntegrityCleanHeap(t *testing.T) {
 	}
 	if err := g.CheckIntegrity(); err != nil {
 		t.Fatalf("after teardown: %v", err)
+	}
+}
+
+// TestCheckIntegrityCatchesSlotCorruption proves the membership-slot
+// checks are not vacuous: each corruption of one slot must be reported,
+// and undoing it must make the heap pass again.
+func TestCheckIntegrityCatchesSlotCorruption(t *testing.T) {
+	g, th := testHeap(t, nil)
+	buildMeshableSpans(t, g, th)
+	if _, err := th.Malloc(64); err != nil {
+		t.Fatal(err)
+	}
+	class := mustClass(t, 64)
+	attached := th.attached[class]
+	var binned *miniheap.MiniHeap
+	var bin int
+	for c := range g.classes {
+		for b, set := range g.classes[c].bins {
+			if set.len() >= 2 {
+				binned, bin = set.items[0], b
+			}
+		}
+	}
+	if attached == nil || binned == nil {
+		t.Fatal("setup left no attached span or no bin with two spans")
+	}
+	if err := g.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	corruptions := []struct {
+		name string
+		slot *miniheap.Slot
+		bad  miniheap.Slot
+	}{
+		{"wrong bin index", binned.Slot(miniheap.BinSlot), miniheap.Slot{Tag: uint8(tagBin0 + bin), Pos: 1}},
+		{"wrong registry index", binned.Slot(miniheap.RegSlot), miniheap.Slot{Tag: tagReg, Pos: binned.Slot(miniheap.RegSlot).Pos + 1}},
+		{"wrong bin tag", binned.Slot(miniheap.BinSlot), miniheap.Slot{Tag: tagFull, Pos: 0}},
+		{"stale bin tag on an attached span", attached.Slot(miniheap.BinSlot), miniheap.Slot{Tag: uint8(tagBin0 + bin), Pos: 0}},
+		{"bin slot cleared on a binned span", binned.Slot(miniheap.BinSlot), miniheap.Slot{}},
+	}
+	for _, tc := range corruptions {
+		saved := *tc.slot
+		*tc.slot = tc.bad
+		err := g.CheckIntegrity()
+		*tc.slot = saved
+		if err == nil {
+			t.Errorf("%s: CheckIntegrity passed", tc.name)
+		} else {
+			t.Logf("%s: %v", tc.name, err)
+		}
+		if err := g.CheckIntegrity(); err != nil {
+			t.Fatalf("%s: restored heap fails: %v", tc.name, err)
+		}
+	}
+	// A span dropped from its bin but still tagged for it: the bin's own
+	// members are consistent, so only the tag-to-set check can see it.
+	cs := &g.classes[binned.SizeClass()]
+	cs.binRemove(bin, binned)
+	*binned.Slot(miniheap.BinSlot) = miniheap.Slot{Tag: uint8(tagBin0 + bin), Pos: 0}
+	if err := g.CheckIntegrity(); err == nil {
+		t.Error("stale bin tag on a span in no bin: CheckIntegrity passed")
+	}
+	*binned.Slot(miniheap.BinSlot) = miniheap.Slot{}
+	cs.binAdd(binned)
+	if err := g.CheckIntegrity(); err != nil {
+		t.Fatalf("re-filed heap fails: %v", err)
 	}
 }
 

@@ -76,7 +76,7 @@ func TestRemoteDrainOnRefill(t *testing.T) {
 		}
 		addrs = append(addrs, a)
 	}
-	if _, _, refills := producer.LocalStats(); refills != 1 {
+	if refills := producer.Refills(); refills != 1 {
 		t.Fatalf("refills = %d after exactly one span, want 1", refills)
 	}
 	mh := g.arena.Lookup(addrs[0])
@@ -97,7 +97,7 @@ func TestRemoteDrainOnRefill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, refills := producer.LocalStats(); refills != 1 {
+	if refills := producer.Refills(); refills != 1 {
 		t.Fatalf("refills = %d after drain-restock, want still 1", refills)
 	}
 	if got := g.arena.Lookup(a); got != mh {

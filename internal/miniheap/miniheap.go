@@ -93,7 +93,28 @@ type MiniHeap struct {
 	// the span is published through the page map, then read-only, so
 	// plain loads on the fast paths are race-free.
 	hardened bool
+
+	// slots are the MiniHeap's intrusive memberships in the global heap's
+	// span sets, indexed by BinSlot and RegSlot. Plain fields: the owning
+	// class's shard lock guards them, as it guards the sets themselves.
+	slots [numSlots]Slot
 }
+
+// Slot records a MiniHeap's membership in one span set of the global
+// heap: Tag names the set holding it (0 for none) and Pos is its index in
+// that set's slice, so add, remove and membership tests need no lookup.
+type Slot struct {
+	Tag uint8
+	Pos int
+}
+
+// Membership slot indexes: each MiniHeap belongs to at most one set of
+// each kind at a time.
+const (
+	BinSlot = iota // an occupancy bin or the full set
+	RegSlot        // the class registry
+	numSlots
+)
 
 var nextID atomic.Uint64
 
@@ -155,6 +176,10 @@ func NewLarge(pages int, vbase uint64, phys vm.PhysID) *MiniHeap {
 
 // ID returns the MiniHeap's unique id.
 func (m *MiniHeap) ID() uint64 { return m.id }
+
+// Slot returns the membership slot k (BinSlot or RegSlot) for the global
+// heap's span sets to maintain. Caller holds the owning shard lock.
+func (m *MiniHeap) Slot(k int) *Slot { return &m.slots[k] }
 
 // SizeClass returns the size-class index, or -1 for large objects.
 //
@@ -223,14 +248,10 @@ func (m *MiniHeap) MeshCount() int { return len(*m.spans.Load()) }
 // SetOwner publishes (or, with nil, withdraws) the remote-free sink of the
 // thread heap this MiniHeap is attached to. The owning heap stores the sink
 // after attaching and clears it before detaching, so a non-nil load proves
-// the MiniHeap was attached at the moment of the load.
-func (m *MiniHeap) SetOwner(s RemoteSink) {
-	if s == nil {
-		m.owner.Store(nil)
-		return
-	}
-	m.owner.Store(&s)
-}
+// the MiniHeap was attached at the moment of the load. The sink comes
+// boxed: the owner keeps one interface value for its lifetime and passes
+// its address, so publishing on every refill allocates nothing.
+func (m *MiniHeap) SetOwner(s *RemoteSink) { m.owner.Store(s) }
 
 // Owner returns the currently published remote-free sink, or nil when the
 // MiniHeap is detached (or its owner does not accept message-passed frees).

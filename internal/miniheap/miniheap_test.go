@@ -326,7 +326,8 @@ func TestOwnerPublication(t *testing.T) {
 		t.Fatal("fresh MiniHeap has an owner")
 	}
 	sink := &fakeSink{}
-	mh.SetOwner(sink)
+	var box RemoteSink = sink
+	mh.SetOwner(&box)
 	got := mh.Owner()
 	if got == nil {
 		t.Fatal("owner not published")
