@@ -514,108 +514,104 @@ func BenchmarkScaleContention(b *testing.B) {
 // the message-passing remote-free queues exist for: the goroutines pair
 // up into pipelines where one side allocates from a pinned Thread and the
 // other side frees those objects, so every free is a cross-thread free of
-// a span attached to a live heap. In queued mode the free is a CAS onto
-// the owner's queue (drained back into the owner's shuffle vector at its
-// malloc slow path, so each pipeline recycles a fixed span set); in
-// locked mode — Control("remote.queue", false) — every free takes the
-// owning class's shard lock, the pre-queue baseline. Each pair hands off
+// a span attached to a live heap. The free is a CAS onto the owner's
+// queue, drained back into the owner's shuffle vector at its malloc slow
+// path, so each pipeline recycles a fixed span set. Each pair hands off
 // through a one-slot ring, keeping the in-flight window inside one span:
-// a deep backlog would degenerate to detached-span frees on both paths.
-// One benchmark op is one object (alloc + hand-off + remote free);
-// "shardlocks/op" reports amortized shard-lock acquisitions per
-// operation, which the queued path must hold ≪ 1.
+// a deep backlog would degenerate to detached-span frees. One benchmark
+// op is one object (alloc + hand-off + remote free); "shardlocks/op"
+// reports amortized shard-lock acquisitions per operation, which the
+// queued path must hold ≪ 1.
 func BenchmarkRemoteFree(b *testing.B) {
 	// Classes with roomy spans (256/128/64 objects per page): the hand-off
 	// quantum below must stay well inside one span or the shape degrades
-	// to detached-span frees regardless of free path.
+	// to detached-span frees.
 	classSizes := []int{16, 32, 64}
-	for _, mode := range []string{"queued", "locked"} {
-		for _, gs := range []int{2, 8, 16} {
-			b.Run(fmt.Sprintf("%s/goroutines=%d", mode, gs), func(b *testing.B) {
-				a := mesh.New(mesh.WithSeed(1), mesh.WithRemoteQueues(mode == "queued"))
-				pairs := gs / 2
-				const objs = 16
-				iters := b.N/(pairs*objs) + 1
-				rings := make([]chan []mesh.Ptr, pairs)
-				for i := range rings {
-					rings[i] = make(chan []mesh.Ptr, 1)
+	for _, gs := range []int{2, 8, 16} {
+		b.Run(fmt.Sprintf("goroutines=%d", gs), func(b *testing.B) {
+			a := mesh.New(mesh.WithSeed(1))
+			pairs := gs / 2
+			const objs = 16
+			iters := b.N/(pairs*objs) + 1
+			rings := make([]chan []mesh.Ptr, pairs)
+			for i := range rings {
+				rings[i] = make(chan []mesh.Ptr, 1)
+			}
+			done := make(chan struct{})
+			var failed atomic.Bool
+			fail := func(err error) {
+				if failed.CompareAndSwap(false, true) {
+					b.Error(err)
+					close(done)
 				}
-				done := make(chan struct{})
-				var failed atomic.Bool
-				fail := func(err error) {
-					if failed.CompareAndSwap(false, true) {
-						b.Error(err)
-						close(done)
+			}
+			var wg, consWG sync.WaitGroup
+			b.ResetTimer()
+			for w := 0; w < pairs; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					th := a.NewThread()
+					defer th.Close()
+					size := classSizes[w%len(classSizes)]
+					for i := 0; i < iters; i++ {
+						buf := make([]mesh.Ptr, objs)
+						for j := range buf {
+							p, err := th.Malloc(size)
+							if err != nil {
+								fail(err)
+								return
+							}
+							buf[j] = p
+						}
+						select {
+						case rings[w] <- buf:
+						case <-done:
+							return
+						}
 					}
-				}
-				var wg, consWG sync.WaitGroup
-				b.ResetTimer()
-				for w := 0; w < pairs; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						th := a.NewThread()
-						defer th.Close()
-						size := classSizes[w%len(classSizes)]
-						for i := 0; i < iters; i++ {
-							buf := make([]mesh.Ptr, objs)
-							for j := range buf {
-								p, err := th.Malloc(size)
-								if err != nil {
-									fail(err)
-									return
-								}
-								buf[j] = p
+					close(rings[w])
+				}(w)
+			}
+			for w := 0; w < gs-pairs; w++ {
+				consWG.Add(1)
+				go func(w int) {
+					defer consWG.Done()
+					th := a.NewThread()
+					defer th.Close()
+					for {
+						var batch []mesh.Ptr
+						select {
+						case batch = <-rings[w]:
+							if batch == nil {
+								return
 							}
-							select {
-							case rings[w] <- buf:
-							case <-done:
+						case <-done:
+							return
+						}
+						for _, p := range batch {
+							if err := th.Free(p); err != nil {
+								fail(err)
 								return
 							}
 						}
-						close(rings[w])
-					}(w)
-				}
-				for w := 0; w < gs-pairs; w++ {
-					consWG.Add(1)
-					go func(w int) {
-						defer consWG.Done()
-						th := a.NewThread()
-						defer th.Close()
-						for {
-							var batch []mesh.Ptr
-							select {
-							case batch = <-rings[w]:
-								if batch == nil {
-									return
-								}
-							case <-done:
-								return
-							}
-							for _, p := range batch {
-								if err := th.Free(p); err != nil {
-									fail(err)
-									return
-								}
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-				consWG.Wait()
-				b.StopTimer()
-				ops := float64(pairs * iters * objs)
-				shards, err := a.ReadControl("stats.global.shard_acquires")
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(shards.(uint64))/ops, "shardlocks/op")
-				queued, err := a.ReadControl("stats.remote.queued")
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(queued.(uint64))/ops, "queued/op")
-			})
-		}
+					}
+				}(w)
+			}
+			wg.Wait()
+			consWG.Wait()
+			b.StopTimer()
+			ops := float64(pairs * iters * objs)
+			shards, err := a.ReadControl("stats.global.shard_acquires")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(shards.(uint64))/ops, "shardlocks/op")
+			queued, err := a.ReadControl("stats.remote.queued")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(queued.(uint64))/ops, "queued/op")
+		})
 	}
 }

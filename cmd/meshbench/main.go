@@ -20,7 +20,6 @@
 //	pause     inline vs daemon meshing (one engine, two pause budgets): tail stalls and RSS (§4.5)
 //	scale     free/refill throughput vs goroutine count (sharded global heap)
 //	datapath  object read/write/memset throughput vs goroutine count (lock-free VM translation)
-//	remote    producer–consumer remote frees: message-passing queues vs shard locks
 //	chaos     fault-injection stress: every site armed across 4 seeds, exact accounting demanded
 //	chaos-hardened  corruption-injection stress: canary/poison sites armed, violations == injections demanded
 //	all       everything above
@@ -62,7 +61,7 @@ func main() {
 		return
 	}
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: meshbench [-scale N] [-csv] [-json FILE] <fig6|fig7|fig8|spec|prob|lemma53|triangle|ablation|robson|conc|pause|scale|frontend|datapath|remote|chaos|chaos-hardened|all>\n")
+		fmt.Fprintf(os.Stderr, "usage: meshbench [-scale N] [-csv] [-json FILE] <fig6|fig7|fig8|spec|prob|lemma53|triangle|ablation|robson|conc|pause|scale|datapath|chaos|chaos-hardened|all>\n")
 		fmt.Fprintf(os.Stderr, "       meshbench compare [-baseline DIR] [-threshold PCT] [-counter-threshold PCT] FILE...\n")
 		flag.PrintDefaults()
 	}
@@ -106,19 +105,15 @@ func run(what string) error {
 		return pause()
 	case "scale":
 		return scaleExp()
-	case "frontend":
-		return frontendExp()
 	case "datapath":
 		return datapath()
-	case "remote":
-		return remote()
 	case "chaos":
 		return chaos()
 	case "chaos-hardened":
 		return chaosHardened()
 	case "all":
 		runningAll = true
-		for _, f := range []func() error{fig6, fig7, fig8, spec, ablation, robson, conc, pause, scaleExp, frontendExp, datapath, remote, chaos, chaosHardened} {
+		for _, f := range []func() error{fig6, fig7, fig8, spec, ablation, robson, conc, pause, scaleExp, datapath, chaos, chaosHardened} {
 			if err := f(); err != nil {
 				return err
 			}
@@ -389,44 +384,6 @@ func scaleExp() error {
 			r.Workers, r.Batch, r.Ops, r.Wall.Round(1e6), r.OpsPerSec, r.ShardAcquires, r.ArenaLookups)
 	}
 	if p := jsonPath("scale"); p != "" {
-		return writeJSON(p, res)
-	}
-	return nil
-}
-
-func frontendExp() error {
-	header("Frontend: scalar stripe+magazine path vs batch API vs pool-only hand-off")
-	res, err := experiments.Frontend(*scale)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%8s %10s %10s %12s %14s %16s %14s %14s\n",
-		"workers", "mode", "ops", "wall", "ops/sec", "shard acquires", "pool borrows", "frontend hits")
-	for _, r := range res.Rows {
-		fmt.Printf("%8d %10s %10d %12v %14.0f %16d %14d %14d\n",
-			r.Workers, r.Mode, r.Ops, r.Wall.Round(1e6), r.OpsPerSec,
-			r.ShardAcquires, r.PoolBorrows, r.FrontendHits)
-	}
-	if p := jsonPath("frontend"); p != "" {
-		return writeJSON(p, res)
-	}
-	return nil
-}
-
-func remote() error {
-	header("Remote: producer–consumer frees, message-passing queues vs shard locks")
-	res, err := experiments.Remote(*scale)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%8s %6s %10s %12s %14s %16s %12s %12s\n",
-		"workers", "mode", "ops", "wall", "ops/sec", "shard acquires", "queued", "drained")
-	for _, r := range res.Rows {
-		fmt.Printf("%8d %6s %10d %12v %14.0f %16d %12d %12d\n",
-			r.Workers, r.Mode, r.Ops, r.Wall.Round(1e6), r.OpsPerSec,
-			r.ShardAcquires, r.RemoteQueued, r.RemoteDrained)
-	}
-	if p := jsonPath("remote"); p != "" {
 		return writeJSON(p, res)
 	}
 	return nil

@@ -18,15 +18,17 @@
 // message-passing: posted to the owning heap's lock-free MPSC queue
 // (internal/core/remote.go) with a single CAS and recycled by the
 // owner at its next drain point, so producer–consumer pipelines take
-// no shard lock at all on the free path (toggle with the remote.queue
-// control). Scalar Allocator calls skip the pool hand-off entirely via
+// no shard lock at all on the free path (with the harden.enabled
+// control on, the owner's drain also catches cross-thread double
+// frees). Scalar Allocator calls skip the pool hand-off entirely via
 // the per-stripe front end (internal/frontend): a Malloc descends
 // stripe → magazine → pool → shard — an atomic swap on a
 // stack-page-hashed stripe slot yields a cached thread heap, a per-size-
-// class magazine serves the object from a local array, and only a cold
-// magazine (batch refill) or a stripe collision falls through to the
-// pool and the sharded heap below (frontend.enabled and
-// frontend.magazine_objects controls). The
+// class magazine serves the object from a local array, a miss on an
+// empty stripe steals a heap parked on another stripe, and only a cold
+// magazine (batch refill) or an empty stripe array falls through to the
+// pool and the sharded heap below (frontend.magazine_objects control).
+// The
 // simulated kernel's data path (internal/vm) is lock-free the same
 // way: object reads, writes, and memsets translate through a radix
 // page table of atomic PTEs validated by a seqlock generation, so no

@@ -112,7 +112,7 @@ func (t *ThreadHeap) FreeBatch(addrs []uint64) error {
 		t.global.noteLocalFreeN(bytes, n)
 	}
 	allOwners := owners // full-length view for the post-batch clear
-	if len(nonLocal) > 0 && t.global.remoteEnabled.Load() {
+	if len(nonLocal) > 0 {
 		nonLocal, owners = t.queueRemoteBatch(nonLocal, owners)
 	}
 	if len(nonLocal) > 0 {

@@ -225,9 +225,11 @@ func mustClass(t *testing.T, size int) int {
 }
 
 func TestRemoteFreeUpdatesBitmapOnly(t *testing.T) {
-	// With message-passing disabled, a cross-thread free takes the classic
-	// §3.2 path: the shard-locked bitmap update, nothing else.
-	g, th := testHeap(t, func(c *Config) { c.RemoteQueues = false })
+	// A cross-thread free whose queue push fails (the remote.segment fault
+	// site, armed on every evaluation) takes the classic §3.2 path while
+	// the span is still attached: the shard-locked bitmap update, nothing
+	// else.
+	g, th := testHeap(t, func(c *Config) { c.FaultPlan = "remote.segment" })
 	addr, _ := th.Malloc(128)
 	// Another "thread" frees it through the global heap.
 	other := NewThreadHeap(g, 2)
@@ -247,7 +249,7 @@ func TestRemoteFreeUpdatesBitmapOnly(t *testing.T) {
 		t.Fatalf("live = %d", g.Stats().Live)
 	}
 	if q := g.RemoteQueued(); q != 0 {
-		t.Fatalf("remote.queue disabled but %d frees queued", q)
+		t.Fatalf("remote.segment armed but %d frees queued", q)
 	}
 }
 

@@ -56,8 +56,6 @@ type Config struct {
 	// is not restarted until a subsequent free reaches the global heap
 	// (§4.5; default 1 MiB).
 	MinMeshSavings int
-	// SplitMesherT is the probe budget per span (§3.3; default 64).
-	SplitMesherT int
 	// DirtyPageThreshold overrides the arena's 64 MiB punch threshold
 	// (pages); 0 keeps the default.
 	DirtyPageThreshold int
@@ -85,13 +83,6 @@ type Config struct {
 	// CopyPhys elides. Tests of the §4.5.2 write-barrier protocol set it
 	// to widen the protect window so racing writers reliably fault.
 	MeshCopyCost time.Duration
-	// RemoteQueues enables message-passing remote frees (default true in
-	// DefaultConfig): cross-thread frees of objects on spans attached to a
-	// live heap are posted to that heap's lock-free queue instead of
-	// taking the owning class's shard lock. Disable to restore the fully
-	// shard-locked remote-free path (and with it double-free detection on
-	// cross-thread frees). Runtime-togglable via the remote.queue control.
-	RemoteQueues bool
 	// TraceEnabled starts the heap with the flight recorder on (default
 	// off; the disabled emission cost is one atomic load per site).
 	// Runtime-togglable via the trace.enabled control.
@@ -99,10 +90,6 @@ type Config struct {
 	// TraceSampleRate is the 1-in-n sampling of alloc/free trace events;
 	// 0 keeps the recorder default. Runtime-tunable via trace.sample_rate.
 	TraceSampleRate int
-	// TraceBufferEvents is the per-source trace ring capacity in events;
-	// 0 keeps the recorder default. Runtime-tunable via
-	// trace.buffer_events (applies to rings created afterwards).
-	TraceBufferEvents int
 	// FaultPlan arms the fault-injection plane with a plan spec (see
 	// internal/faultinject for the grammar) and enables it. Empty (the
 	// default) leaves the plane disabled; an invalid spec panics in
@@ -122,21 +109,17 @@ type Config struct {
 	// Hardening mints new spans hardened: per-object trailing canaries
 	// checked at free, mesh-copy, and audit time; poison-on-free verified
 	// before reuse; corrupt spans retired rather than crashed on (see
-	// internal/harden). Default off; the disabled cost is one atomic load
-	// per malloc/free. Runtime-togglable via the harden.enabled control.
+	// internal/harden). Hardening is also what detects cross-thread
+	// double frees on the message-passing remote path: the owner's drain
+	// drops a queued duplicate and counts it in InvalidFree. Default off;
+	// the disabled cost is one atomic load per malloc/free.
+	// Runtime-togglable via the harden.enabled control.
 	Hardening bool
 	// Quarantine additionally parks hardened frees in a per-heap
 	// delayed-reuse ring before they re-enter a shuffle vector, widening
 	// the double-free and use-after-free detection window. Implies
 	// Hardening. Runtime-togglable via the harden.quarantine control.
 	Quarantine bool
-	// FrontEnd enables the per-stripe front-end cache (default true in
-	// DefaultConfig): Allocator-level calls take their thread heap from a
-	// striped slot array keyed by a goroutine-stripe hash — one uncontended
-	// swap on a stripe-private cache line — instead of the shared heap
-	// pool, which becomes the cold/overflow path. Semantics are identical
-	// either way. Runtime-togglable via the frontend.enabled control.
-	FrontEnd bool
 	// MagazineObjects is the per-size-class magazine capacity of each
 	// front-end heap (default 0 = magazines off). When positive, scalar
 	// Malloc/Free hits pop/push a stripe-local array of cached object
@@ -152,6 +135,10 @@ type Config struct {
 // is zero.
 const DefaultMaxPause = time.Millisecond
 
+// DefaultSplitMesherT is SplitMesher's probe budget per span (§3.3: the
+// paper's t = 64). Runtime-tunable via the mesh.split_t control.
+const DefaultSplitMesherT = 64
+
 // DefaultConfig returns the paper's default configuration.
 func DefaultConfig() Config {
 	return Config{
@@ -160,11 +147,8 @@ func DefaultConfig() Config {
 		Randomize:       true,
 		MeshPeriod:      100 * time.Millisecond,
 		MinMeshSavings:  1 << 20,
-		SplitMesherT:    64,
 		MaxPause:        DefaultMaxPause,
-		RemoteQueues:    true,
 		OOMBackpressure: true,
-		FrontEnd:        true,
 	}
 }
 
@@ -377,13 +361,14 @@ func (cs *classState) binRemove(b int, mh *miniheap.MiniHeap) {
 // remote queues, so no hold-and-wait cycle through them exists.
 //
 // The front-end stripe cache (internal/frontend) likewise sits outside
-// the hierarchy: a stripe hand-off is one swap/CAS on a stripe-private
-// slot performed with no lock held, and a magazine hit touches nothing
-// shared at all. Its slow paths — magazine fill and flush, stripe-miss
-// pool borrows — re-enter the hierarchy through the ordinary batch
-// malloc/free entry points (shard locks, remote queues) with no lock
-// held on entry, so the stripe layer can neither invert the order nor
-// hold-and-wait against meshing.
+// the hierarchy: every stripe hand-off — the home-stripe swap, a miss's
+// load-then-swap steal of a front parked on another stripe, the park
+// CAS — is an atomic on a stripe slot performed with no lock held, and a
+// magazine hit touches nothing shared at all. Its slow paths — magazine
+// fill and flush, pool borrows when no stripe holds a front — re-enter
+// the hierarchy through the ordinary batch malloc/free entry points
+// (shard locks, remote queues) with no lock held on entry, so the stripe
+// layer can neither invert the order nor hold-and-wait against meshing.
 type GlobalHeap struct {
 	cfg   Config // immutable after construction; runtime-tunable knobs live in the atomics below
 	os    *vm.OS
@@ -463,9 +448,8 @@ type GlobalHeap struct {
 	oomBackpressure atomic.Bool
 	oomRecoveries   atomic.Uint64
 
-	// Message-passing remote-free state (remote.go): the runtime enable
-	// knob plus the queued/drained counters behind stats.remote.*.
-	remoteEnabled atomic.Bool
+	// Message-passing remote-free state (remote.go): the queued/drained
+	// counters behind stats.remote.*.
 	remoteQueued  atomic.Uint64
 	remoteDrained atomic.Uint64
 
@@ -502,12 +486,11 @@ func NewGlobalHeap(cfg Config) *GlobalHeap {
 		large: make(map[uint64]*miniheap.MiniHeap),
 	}
 	g.background.Store(cfg.BackgroundMeshing)
-	g.remoteEnabled.Store(cfg.RemoteQueues)
 	g.meshEnabled.Store(cfg.Meshing)
 	g.meshPeriod.Store(int64(cfg.MeshPeriod))
 	g.minSavings.Store(int64(cfg.MinMeshSavings))
 	g.maxPause.Store(int64(cfg.MaxPause))
-	g.splitMesherT.Store(int64(cfg.SplitMesherT))
+	g.splitMesherT.Store(DefaultSplitMesherT)
 	for c := range g.classes {
 		cs := &g.classes[c]
 		// Per-class RNG streams derived from the seed: deterministic runs
@@ -525,9 +508,6 @@ func NewGlobalHeap(cfg Config) *GlobalHeap {
 	g.tracer = trace.NewRecorder(clock)
 	if cfg.TraceSampleRate > 0 {
 		g.tracer.SetSampleRate(int64(cfg.TraceSampleRate))
-	}
-	if cfg.TraceBufferEvents > 0 {
-		g.tracer.SetBufferEvents(int64(cfg.TraceBufferEvents))
 	}
 	g.tracer.SetEnabled(cfg.TraceEnabled)
 	g.trEngine = g.tracer.NewSource(trace.SrcEngine)
@@ -612,15 +592,6 @@ func (g *GlobalHeap) OS() *vm.OS { return g.os }
 
 // Arena exposes the meshable arena.
 func (g *GlobalHeap) Arena() *arena.Arena { return g.arena }
-
-// SetRemoteQueues toggles message-passing remote frees at runtime (the
-// remote.queue control). Turning the path off only stops new pushes;
-// entries already queued are still settled at the owners' drain points.
-func (g *GlobalHeap) SetRemoteQueues(on bool) { g.remoteEnabled.Store(on) }
-
-// RemoteQueuesEnabled reports whether cross-thread frees may be posted to
-// owner queues instead of taking shard locks.
-func (g *GlobalHeap) RemoteQueuesEnabled() bool { return g.remoteEnabled.Load() }
 
 // RemoteQueued returns the number of frees posted to owner queues
 // (stats.remote.queued).
@@ -894,20 +865,22 @@ func (g *GlobalHeap) freeRouted(addr uint64, mh *miniheap.MiniHeap) (reachedGlob
 // freeQueuedStale completes one queued remote free whose span is no longer
 // attached to the draining heap: the shard-locked path, minus the
 // accounting that already happened at enqueue. It reports whether the free
-// reached a detached span (a mesh-trigger event); failures — possible only
-// through caller double frees racing span turnover — are absorbed into the
-// invalid-free counter, since the originating Free already returned.
-func (g *GlobalHeap) freeQueuedStale(addr uint64) (reachedGlobal bool) {
+// reached a detached span (a mesh-trigger event) and whether the locked
+// path rejected it. Rejections — possible only through caller double frees
+// racing span turnover — are counted in InvalidFree like any double free,
+// since the originating Free already returned; the caller unwinds the
+// rejected entry's enqueue-time accounting.
+func (g *GlobalHeap) freeQueuedStale(addr uint64) (reachedGlobal, rejected bool) {
 	mh := g.arena.Lookup(addr)
 	if mh == nil || mh.IsLarge() {
 		g.invalidFree.Add(1)
-		return false
+		return false, true
 	}
 	cs := &g.classes[mh.SizeClass()]
 	cs.lock()
 	defer cs.unlock()
-	reached, _ := g.freeSmallLocked(cs, addr, true)
-	return reached
+	reached, err := g.freeSmallLocked(cs, addr, true)
+	return reached, errors.Is(err, ErrDoubleFree) || errors.Is(err, ErrInvalidFree)
 }
 
 // batchPartition is a reusable per-class partition of one free batch;

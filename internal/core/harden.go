@@ -471,8 +471,8 @@ func (t *ThreadHeap) drainHardened(c int, mh *miniheap.MiniHeap, s *remoteSeg, c
 		off := int(s.offs[i])
 		addr := mh.AddrOf(off)
 		if t.attached[c] != mh {
-			if g.freeQueuedStale(addr) {
-				*reached = true
+			if !t.settleStale(mh, addr, reached) {
+				settled--
 			}
 			continue
 		}
@@ -564,7 +564,7 @@ func (t *ThreadHeap) settleQuarantined(entry uint64) {
 		}
 	}
 	if pre {
-		if g.freeQueuedStale(addr) {
+		if reached, _ := g.freeQueuedStale(addr); reached {
 			g.maybeMesh()
 		}
 		return

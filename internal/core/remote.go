@@ -41,10 +41,12 @@ import (
 //     fallback therefore skips it (freeSmallLocked's preAccounted flag).
 //
 // Like the paper's thread-local fast path, the queued path trusts the
-// caller: a double free of a queued object is not reliably detected (the
-// slot may be handed out twice). Disable the path at runtime with the
-// remote.queue control to restore full double-free detection on
-// cross-thread frees.
+// caller: without hardening, a double free of a queued object is not
+// reliably detected (the slot may be handed out twice). With hardening
+// on, the owner's drain runs the poison precheck on every entry for a
+// span it still has attached, drops a duplicate, and counts it in
+// InvalidFree (drainHardened); entries settled by address take the
+// locked path, whose bitmap catches a duplicate exactly.
 
 // remoteSegCap is the number of slots one queue segment carries. Pushers
 // fill the head segment in place (see remoteSeg), so steady traffic to
@@ -221,8 +223,9 @@ func (t *ThreadHeap) PendingRemoteFrees() int {
 
 // drainRemote settles a taken segment chain. Invalid entries (possible
 // only through caller double frees racing span turnover) are counted in
-// the heap's invalid-free statistic by the locked fallback, not returned:
-// the original Free call already succeeded when the entry was queued.
+// the heap's invalid-free statistic and dropped (settleStale), not
+// returned: the original Free call already succeeded when the entry was
+// queued.
 func (t *ThreadHeap) drainRemote(segs *remoteSeg) int {
 	if segs == nil {
 		return 0
@@ -268,8 +271,8 @@ func (t *ThreadHeap) drainRemote(segs *remoteSeg) int {
 			// path: the page map re-resolves the authoritative owner even
 			// if the span was re-attached elsewhere or meshed away.
 			for i := 0; i < cnt; i++ {
-				if t.global.freeQueuedStale(mh.AddrOf(int(s.offs[i]))) {
-					reached = true
+				if !t.settleStale(mh, mh.AddrOf(int(s.offs[i])), &reached) {
+					n--
 				}
 			}
 		}
@@ -288,6 +291,23 @@ func (t *ThreadHeap) drainRemote(segs *remoteSeg) int {
 	return n
 }
 
+// settleStale settles one queued free of a span no longer attached to
+// this heap, by address through the locked path. An entry the locked path
+// rejects — a caller double free — is dropped: its enqueue-time accounting
+// is unwound and settleStale reports false, so it is not counted as
+// drained and queued == drained still holds at quiescence.
+func (t *ThreadHeap) settleStale(mh *miniheap.MiniHeap, addr uint64, reached *bool) bool {
+	r, rejected := t.global.freeQueuedStale(addr)
+	if r {
+		*reached = true
+	}
+	if rejected {
+		t.global.noteRemoteUnqueued(int64(mh.ObjectSize()), 1)
+		return false
+	}
+	return true
+}
+
 // tryQueueRemote attempts the message-passing remote-free fast path for
 // one non-local free: mh is the page-map owner freeLocal resolved (possibly
 // nil or stale). It returns true when the free was queued — accounted and
@@ -298,7 +318,7 @@ func (t *ThreadHeap) drainRemote(segs *remoteSeg) int {
 //
 //mesh:lockfree
 func (t *ThreadHeap) tryQueueRemote(addr uint64, mh *miniheap.MiniHeap) bool {
-	if mh == nil || mh.IsLarge() || !t.global.remoteEnabled.Load() {
+	if mh == nil || mh.IsLarge() {
 		return false
 	}
 	sink := mh.Owner()
@@ -373,13 +393,21 @@ func (t *ThreadHeap) queueRemoteBatch(addrs []uint64, owners []*miniheap.MiniHea
 			i++
 			continue
 		}
-		// Pre-account the whole run (see noteRemoteQueued), then unwind
-		// whatever the sink rejected; the remainder re-accounts on the
-		// locked path.
-		t.global.noteRemoteQueued(int64(len(offs)*mh.ObjectSize()), uint64(len(offs)))
-		accepted := sink.PushRemoteBatch(mh, offs)
-		if rejected := len(offs) - accepted; rejected > 0 {
-			t.global.noteRemoteUnqueued(int64(rejected*mh.ObjectSize()), uint64(rejected))
+		accepted := 0
+		if t.global.faults.Should(faultinject.SiteRemoteSegment) {
+			// Injected segment-allocation failure, evaluated once per run
+			// and before any pre-accounting: the whole run diverts to the
+			// locked batch path, like tryQueueRemote's single free.
+			t.tr.Event(trace.EvRemoteFallback, addrs[runStart], 0)
+		} else {
+			// Pre-account the whole run (see noteRemoteQueued), then unwind
+			// whatever the sink rejected; the remainder re-accounts on the
+			// locked path.
+			t.global.noteRemoteQueued(int64(len(offs)*mh.ObjectSize()), uint64(len(offs)))
+			accepted = sink.PushRemoteBatch(mh, offs)
+			if rejected := len(offs) - accepted; rejected > 0 {
+				t.global.noteRemoteUnqueued(int64(rejected*mh.ObjectSize()), uint64(rejected))
+			}
 		}
 		for k := runStart + accepted; k < runStart+len(offs); k++ {
 			addrs[out], owners[out] = addrs[k], owners[k]

@@ -314,38 +314,84 @@ func TestRemoteStressPushVsDetach(t *testing.T) {
 	}
 }
 
-// TestRemoteDisabledTakesLockedPath pins the remote.queue=false contract:
-// no free is ever queued, and cross-thread double frees are detected
-// again.
-func TestRemoteDisabledTakesLockedPath(t *testing.T) {
-	g, owner := testHeap(t, func(c *Config) { c.RemoteQueues = false })
+// TestRemoteBatchHonorsSegmentFault pins the remote.segment fault site on
+// the batch path: with every segment allocation failing, a FreeBatch of
+// cross-thread frees queues nothing, diverts to the shard-locked batch
+// path, and still settles every object with exact accounting.
+func TestRemoteBatchHonorsSegmentFault(t *testing.T) {
+	g, owner := testHeap(t, func(c *Config) { c.FaultPlan = "remote.segment" })
+	other := NewThreadHeap(g, 2)
+	var addrs []uint64
+	for _, size := range []int{64, 64, 64, 256, 256, 256} {
+		a, err := owner.Malloc(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, a)
+	}
+	if err := other.FreeBatch(addrs); err != nil {
+		t.Fatal(err)
+	}
+	st := g.Stats()
+	if st.Remote.Queued != 0 {
+		t.Fatalf("queued %d frees with every segment allocation failing", st.Remote.Queued)
+	}
+	if g.Faults().Injected() == 0 {
+		t.Fatal("the batch path never evaluated remote.segment")
+	}
+	if st.Live != 0 || st.Allocs != st.Frees || st.InvalidFree != 0 {
+		t.Fatalf("live=%d allocs=%d frees=%d invalid=%d, want exact accounting",
+			st.Live, st.Allocs, st.Frees, st.InvalidFree)
+	}
+	for _, th := range []*ThreadHeap{owner, other} {
+		if err := th.Done(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRemoteStaleDoubleFreeDropped covers a caller double free whose two
+// queued entries settle by address: the owner detached the span between
+// the pushes and its drain (the push/detach race, replayed here by taking
+// the segments before Done). The locked path rejects the duplicate; the
+// drain must count it in InvalidFree and drop it, unwinding its
+// enqueue-time accounting, so the books still close.
+func TestRemoteStaleDoubleFreeDropped(t *testing.T) {
+	g, owner := testHeap(t, func(c *Config) { c.Meshing = false })
 	other := NewThreadHeap(g, 2)
 	addr, err := owner.Malloc(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.Free(addr); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := other.Free(addr); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := other.Free(addr); err == nil {
-		t.Fatal("double free undetected with remote.queue disabled")
-	}
-	if q := g.RemoteQueued(); q != 0 {
-		t.Fatalf("RemoteQueued = %d with the path disabled", q)
-	}
-	// Runtime re-enable takes effect.
-	g.SetRemoteQueues(true)
-	addr2, err := owner.Malloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.Free(addr2); err != nil {
-		t.Fatal(err)
-	}
-	if q := g.RemoteQueued(); q != 1 {
-		t.Fatalf("RemoteQueued = %d after re-enable, want 1", q)
-	}
+	segs := owner.remote.take()
 	if err := owner.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if n := owner.drainRemote(segs); n != 1 {
+		t.Fatalf("drained %d entries, want 1 (the duplicate dropped)", n)
+	}
+	if err := other.Done(); err != nil {
+		t.Fatal(err)
+	}
+	st := g.Stats()
+	if st.InvalidFree != 1 {
+		t.Fatalf("InvalidFree = %d, want 1", st.InvalidFree)
+	}
+	if st.Live != 0 || st.Allocs != st.Frees {
+		t.Fatalf("live=%d allocs=%d frees=%d after a dropped duplicate", st.Live, st.Allocs, st.Frees)
+	}
+	if st.Remote.Queued != st.Remote.Drained {
+		t.Fatalf("queued %d != drained %d", st.Remote.Queued, st.Remote.Drained)
+	}
+	if err := g.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,7 +4,7 @@ package experiments
 // committed baseline file and flag regressions. This is deliberately
 // schema-light — results are read as {"rows": [{...}]} with rows keyed by
 // whichever identity fields they carry (workers/producers/mode/batch), so
-// the same comparator covers the scale, datapath, and remote experiments
+// the same comparator covers the scale, datapath, and chaos experiments
 // and any future -json experiment that follows the rows convention.
 //
 // Two metrics are judged:

@@ -114,10 +114,10 @@ func TestCompareRejectsMalformedFiles(t *testing.T) {
 
 // TestCompareAgainstLiveArtifacts pins the comparator to the real
 // meshbench schemas: a freshly measured result diffs cleanly against
-// itself for all three JSON-producing experiments.
+// itself for the scale and datapath experiments.
 func TestCompareAgainstLiveArtifacts(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the scale/datapath/remote experiments")
+		t.Skip("runs the scale/datapath experiments")
 	}
 	dir := t.TempDir()
 	write := func(name string, v any) string {
@@ -140,14 +140,9 @@ func TestCompareAgainstLiveArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteRes, err := Remote(400)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, v := range map[string]any{
 		"scale.json":    scaleRes,
 		"datapath.json": dataRes,
-		"remote.json":   remoteRes,
 	} {
 		p := write(name, v)
 		rep, err := CompareBenchFiles(p, p, CompareOptions{Threshold: 0.1, CounterThreshold: 0.1})

@@ -10,17 +10,26 @@
 //	             page)    a private      push, no      batch fill/flush)   overflow,      locks)
 //	                      cache line)    atomics)                          cold path)
 //
-// A stripe is a padded single-heap slot keyed by a cheap goroutine hint —
-// a Fibonacci hash of the caller's stack page, so consecutive calls from
-// one goroutine land on the same stripe without runtime hooks. Acquire is
-// one atomic swap on that stripe's private cache line; release is one CAS
-// back. Distinct goroutines on distinct stripes never touch a common
-// write location, which is what kills the pool's shared slot-array and
-// Treiber-stack traffic on the scalar path. A stripe miss (empty slot) or
-// a release collision falls back to the heap pool — the pool remains the
-// overflow path and the detach target on Flush/Close, and every heap
-// still has exactly one owner at a time, so the single-owner meshing
-// invariant (§4.5.3) is untouched.
+// A stripe is a padded single-front slot keyed by a cheap goroutine hint
+// — a Fibonacci hash of the caller's stack page, so consecutive calls
+// from one goroutine land on the same stripe without runtime hooks.
+// Acquire is one atomic swap on that stripe's private cache line; release
+// is one CAS back. Distinct goroutines on distinct stripes never touch a
+// common write location, which is what keeps the pool's shared Treiber
+// stack off the scalar path.
+//
+// A stripe miss (empty home slot) first steals a front parked on any
+// other stripe — a load-then-swap scan over the slots — and only when
+// every stripe is empty borrows a heap from the pool. A release that
+// finds its home stripe full parks on the first empty stripe instead, and
+// retires to the pool only when all are full. Together these keep fronts
+// in play when goroutines collide on one stripe: the colliding
+// goroutine's front parks elsewhere, and the next miss takes it back
+// rather than stranding it (with its attached spans, which are never
+// meshing candidates) on a stripe no goroutine hashes to. The pool
+// remains the overflow path and the detach target on Flush/Close, and
+// every heap still has exactly one owner at a time, so the single-owner
+// meshing invariant (§4.5.3) is untouched.
 //
 // Magazines (off by default; frontend.magazine_objects) sit above the
 // cached heap: per size class, a fixed-capacity array of object
@@ -66,9 +75,9 @@ import (
 
 const (
 	stripeShift = 4
-	// NumStripes is the size of the stripe array. 16 matches the heap
-	// pool's slot count: past 16-way concurrency the pool was already the
-	// overflow path, and more stripes only pad more cache lines.
+	// NumStripes is the size of the stripe array: up to 16 concurrent
+	// callers keep a front each; past that the pool is the overflow path,
+	// and more stripes would only pad more cache lines.
 	NumStripes = 1 << stripeShift
 	// MaxMagazineObjects caps frontend.magazine_objects; a magazine holds
 	// addresses, so the cap bounds per-front memory at
@@ -77,7 +86,7 @@ const (
 )
 
 // Cache is the front end: NumStripes padded slots of parked Fronts plus
-// the runtime switches and counters. Borrow/ret bridge to the heap pool
+// the magazine setting and counters. Borrow/ret bridge to the heap pool
 // (the cold path) without an import cycle.
 type Cache struct {
 	g      *core.GlobalHeap
@@ -86,7 +95,6 @@ type Cache struct {
 	borrow func() *core.ThreadHeap
 	ret    func(*core.ThreadHeap)
 
-	enabled    atomic.Bool
 	magObjects atomic.Int64
 
 	// fills/flushes count magazine batch refills and drains — slow-path
@@ -102,7 +110,9 @@ type Cache struct {
 // (the slot swap/CAS, the hit/miss counters, the cached-objects gauge)
 // land on this stripe-private line, so goroutines on distinct stripes
 // share no write location; the padding keeps neighbouring stripes from
-// false-sharing it back.
+// false-sharing it back. cached is the magazine population of the front
+// parked on the stripe: stored at park, and cleared when another
+// stripe's miss steals the front or Flush retires it.
 type stripe struct {
 	slot   atomic.Pointer[Front]
 	hits   atomic.Uint64
@@ -131,10 +141,10 @@ type magazine struct {
 	objs []uint64
 }
 
-// NewCache builds the front end over g. borrow and ret bridge stripe
-// misses and retirements to the heap pool; enabled and magObjects seed
-// the runtime switches (frontend.* controls).
-func NewCache(g *core.GlobalHeap, enabled bool, magObjects int, borrow func() *core.ThreadHeap, ret func(*core.ThreadHeap)) *Cache {
+// NewCache builds the front end over g. borrow and ret bridge pool
+// borrows and retirements to the heap pool; magObjects seeds the
+// magazine capacity (the frontend.magazine_objects control).
+func NewCache(g *core.GlobalHeap, magObjects int, borrow func() *core.ThreadHeap, ret func(*core.ThreadHeap)) *Cache {
 	c := &Cache{
 		g:      g,
 		pages:  g.Arena(),
@@ -142,7 +152,6 @@ func NewCache(g *core.GlobalHeap, enabled bool, magObjects int, borrow func() *c
 		borrow: borrow,
 		ret:    ret,
 	}
-	c.enabled.Store(enabled)
 	c.magObjects.Store(int64(clampMagObjects(magObjects)))
 	return c
 }
@@ -164,8 +173,8 @@ func clampMagObjects(n int) int {
 // runtime.procPin or goroutine IDs, neither of which Go exposes. The
 // probe variable never escapes (only its uintptr is taken), so the hint
 // itself allocates nothing. Collisions are correctness-neutral: two
-// goroutines on one stripe just alternate between the cached front and
-// the pool path.
+// goroutines on one stripe share the stripe's front and one parked on
+// another stripe (see Acquire).
 //
 //mesh:lockfree
 func stripeOf() int {
@@ -174,23 +183,32 @@ func stripeOf() int {
 	return int((p >> 10) * 0x9E3779B97F4A7C15 >> (64 - stripeShift))
 }
 
-// Acquire hands the caller its stripe's cached front, or ok=false when
-// the front end is disabled (callers then use the pool path unchanged).
-// The hit is one swap on the stripe-private line; a miss borrows a heap
-// from the pool — the only true pool borrow left on the scalar path.
+// Acquire hands the caller a front it owns until Release. The hit is one
+// swap on the caller's stripe-private line. A miss (the home stripe is
+// empty) steals a front parked on another stripe — loads to skip empty
+// slots, one swap to take — and only when every stripe is empty borrows a
+// heap from the pool, the one true pool borrow left on the scalar path.
+// A steal counts as a miss, not a borrow.
 //
 //mesh:lockfree
-func (c *Cache) Acquire() (f *Front, ok bool) {
-	if !c.enabled.Load() {
-		return nil, false
-	}
+func (c *Cache) Acquire() *Front {
 	s := &c.stripes[stripeOf()]
 	if f := s.slot.Swap(nil); f != nil {
 		s.hits.Add(1)
-		return f, true
+		return f
 	}
 	s.misses.Add(1)
-	return c.newFront(), true //mesh:slowpath — stripe empty: borrow a heap from the pool
+	for i := range c.stripes {
+		o := &c.stripes[i]
+		if o.slot.Load() == nil {
+			continue
+		}
+		if f := o.slot.Swap(nil); f != nil {
+			o.cached.Store(0)
+			return f
+		}
+	}
+	return c.newFront() //mesh:slowpath — every stripe empty: borrow a heap from the pool
 }
 
 // newFront wraps a pool-borrowed heap in a fresh Front sized by the
@@ -201,30 +219,29 @@ func (c *Cache) newFront() *Front {
 
 // Release parks f back on the caller's stripe. Like the pool's park
 // point it drains the heap's remote-free queue first, so a front never
-// parks carrying message-passed work. On a full stripe array — or with
-// the front end disabled mid-flight — the front retires: magazines flush
-// and the heap returns to the pool. The error is the joined magazine
-// flush errors (deferred invalid frees surfacing late); nil on every
-// park.
+// parks carrying message-passed work. A full home stripe — another
+// goroutine hashing to it parked first — sends f to the first empty
+// stripe, where the next miss can steal it back; only on a full stripe
+// array does the front retire: magazines flush and the heap returns to
+// the pool. The error is the joined magazine flush errors (deferred
+// invalid frees surfacing late); nil on every park.
 //
 //mesh:lockfree
 func (c *Cache) Release(f *Front) error {
 	f.th.DrainRemoteFrees() //mesh:slowpath — the park drain point; settles queued frees while we still own the heap
-	if c.enabled.Load() {
-		n := int64(f.cached)
-		s := &c.stripes[stripeOf()]
-		if s.slot.CompareAndSwap(nil, f) {
-			s.cached.Store(n)
+	n := int64(f.cached)
+	s := &c.stripes[stripeOf()]
+	if s.slot.CompareAndSwap(nil, f) {
+		s.cached.Store(n)
+		return nil
+	}
+	for i := range c.stripes {
+		if c.stripes[i].slot.Load() == nil && c.stripes[i].slot.CompareAndSwap(nil, f) {
+			c.stripes[i].cached.Store(n)
 			return nil
 		}
-		for i := range c.stripes {
-			if c.stripes[i].slot.Load() == nil && c.stripes[i].slot.CompareAndSwap(nil, f) {
-				c.stripes[i].cached.Store(n)
-				return nil
-			}
-		}
 	}
-	return c.retire(f) //mesh:slowpath — every stripe full (or front end disabled): flush magazines, give the heap back
+	return c.retire(f) //mesh:slowpath — every stripe full: flush magazines, give the heap back
 }
 
 // retire flushes f's magazines and returns its heap to the pool.
@@ -265,20 +282,6 @@ func (c *Cache) Flush() error {
 	return errors.Join(errs...)
 }
 
-// SetEnabled flips the front end at runtime. Disabling also flushes, so
-// "disabled" means what it says: no cached heaps, no cached objects, and
-// every subsequent call takes the exact pre-front-end pool path.
-func (c *Cache) SetEnabled(on bool) error {
-	c.enabled.Store(on)
-	if !on {
-		return c.Flush()
-	}
-	return nil
-}
-
-// Enabled reports whether the front end is on.
-func (c *Cache) Enabled() bool { return c.enabled.Load() }
-
 // SetMagazineObjects sets the per-class magazine capacity (clamped to
 // [0, MaxMagazineObjects]) and flushes, retiring fronts built with the
 // old capacity; fronts created afterwards use the new one. 0 disables
@@ -291,7 +294,8 @@ func (c *Cache) SetMagazineObjects(n int) error {
 // MagazineObjects returns the current per-class magazine capacity.
 func (c *Cache) MagazineObjects() int { return int(c.magObjects.Load()) }
 
-// Hits counts stripe acquisitions served by a cached front.
+// Hits counts stripe acquisitions served by the front parked on the
+// caller's own stripe.
 func (c *Cache) Hits() uint64 {
 	var n uint64
 	for i := range c.stripes {
@@ -300,7 +304,9 @@ func (c *Cache) Hits() uint64 {
 	return n
 }
 
-// Misses counts stripe acquisitions that fell through to a pool borrow.
+// Misses counts stripe acquisitions that found the caller's stripe
+// empty: each was served by a front stolen from another stripe or, when
+// every stripe was empty, by a pool borrow.
 func (c *Cache) Misses() uint64 {
 	var n uint64
 	for i := range c.stripes {

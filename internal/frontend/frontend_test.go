@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 // testCache builds a Cache over a fresh global heap with counting
 // borrow/ret bridges, mirroring how mesh wires it to the heap pool.
-func testCache(t *testing.T, enabled bool, magObjects int) (*Cache, *atomic.Int64, *atomic.Int64) {
+func testCache(t *testing.T, magObjects int) (*Cache, *atomic.Int64, *atomic.Int64) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Clock = core.NewLogicalClock()
@@ -26,25 +27,12 @@ func testCache(t *testing.T, enabled bool, magObjects int) (*Cache, *atomic.Int6
 			t.Errorf("retiring heap: %v", err)
 		}
 	}
-	return NewCache(g, enabled, magObjects, borrow, ret), &borrows, &rets
-}
-
-func TestDisabledCacheNeverAcquires(t *testing.T) {
-	c, borrows, _ := testCache(t, false, 0)
-	if _, ok := c.Acquire(); ok {
-		t.Fatal("disabled cache handed out a front")
-	}
-	if borrows.Load() != 0 {
-		t.Fatalf("disabled cache borrowed %d heaps", borrows.Load())
-	}
+	return NewCache(g, magObjects, borrow, ret), &borrows, &rets
 }
 
 func TestStripeParkAndReuse(t *testing.T) {
-	c, borrows, rets := testCache(t, true, 0)
-	f, ok := c.Acquire()
-	if !ok {
-		t.Fatal("enabled cache refused to acquire")
-	}
+	c, borrows, rets := testCache(t, 0)
+	f := c.Acquire()
 	if borrows.Load() != 1 || c.Misses() != 1 {
 		t.Fatalf("cold acquire: borrows=%d misses=%d, want 1/1", borrows.Load(), c.Misses())
 	}
@@ -57,9 +45,9 @@ func TestStripeParkAndReuse(t *testing.T) {
 	}
 	// Same goroutine, same stack page: the second acquire must hit the
 	// parked front without touching the pool bridge.
-	g, ok := c.Acquire()
-	if !ok || g != f {
-		t.Fatalf("warm acquire returned %p ok=%v, want the parked front %p", g, ok, f)
+	g := c.Acquire()
+	if g != f {
+		t.Fatalf("warm acquire returned %p, want the parked front %p", g, f)
 	}
 	if borrows.Load() != 1 || c.Hits() != 1 {
 		t.Fatalf("warm acquire: borrows=%d hits=%d, want 1/1", borrows.Load(), c.Hits())
@@ -76,13 +64,148 @@ func TestStripeParkAndReuse(t *testing.T) {
 	if rets.Load() != 1 {
 		t.Fatalf("Flush retired %d heaps, want 1", rets.Load())
 	}
-	if _, ok := c.Acquire(); !ok {
-		t.Fatal("cache refused to acquire after Flush")
+	// Flush left nothing parked: the next acquire borrows a fresh heap.
+	if g := c.Acquire(); g == f || borrows.Load() != 2 {
+		t.Fatalf("acquire after Flush returned the retired front or borrowed %d heaps, want 2", borrows.Load())
+	}
+}
+
+// TestMissStealsParkedFront pins the steal: a front parked on a stripe
+// its goroutine does not hash to — here because the releaser's home
+// stripe was already full — serves the next miss instead of a fresh pool
+// borrow. All on one goroutine, so the home stripe is fixed.
+func TestMissStealsParkedFront(t *testing.T) {
+	c, borrows, _ := testCache(t, 0)
+	f1 := c.Acquire()
+	f2 := c.Acquire() // the home stripe is still empty: a second borrow
+	if borrows.Load() != 2 {
+		t.Fatalf("cold acquires borrowed %d heaps, want 2", borrows.Load())
+	}
+	// f1 parks on the home stripe; f2 finds it full and parks on another
+	// stripe through Release's scan.
+	for _, f := range []*Front{f1, f2} {
+		if err := c.Release(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g := c.Acquire(); g != f1 {
+		t.Fatalf("home-stripe acquire returned %p, want %p", g, f1)
+	}
+	g := c.Acquire()
+	if g != f2 {
+		t.Fatalf("miss returned %p, want the front parked on another stripe %p", g, f2)
+	}
+	if borrows.Load() != 2 {
+		t.Fatalf("borrows = %d after the steal, want 2 (a steal is not a borrow)", borrows.Load())
+	}
+	if c.Hits() != 1 || c.Misses() != 3 {
+		t.Fatalf("hits=%d misses=%d, want 1/3 (a steal counts as a miss)", c.Hits(), c.Misses())
+	}
+	for _, f := range []*Front{f1, f2} {
+		if err := c.Release(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStealSingleOwnerLitmus checks the single-owner invariant across
+// every hand-off the front end makes — home-stripe hits, steals from
+// other stripes, pool borrows, overflow retirements — while another
+// goroutine flushes. A per-front owner flag is set by CAS 0→1 on acquire
+// and reset before release; the CAS must never find a front already held.
+// Each owner also runs a malloc/free through the front's magazines, so
+// the race detector sees any shared ownership of their plain fields.
+func TestStealSingleOwnerLitmus(t *testing.T) {
+	const (
+		workers = 8
+		rounds  = 1000
+	)
+	c, _, _ := testCache(t, 8)
+	var flags sync.Map // *Front -> *atomic.Int32
+	own := func(f *Front) *atomic.Int32 {
+		v, _ := flags.LoadOrStore(f, new(atomic.Int32))
+		flag := v.(*atomic.Int32)
+		if !flag.CompareAndSwap(0, 1) {
+			t.Errorf("front %p handed to a second owner", f)
+		}
+		return flag
+	}
+	use := func(f *Front) {
+		p, err := f.Malloc(64)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := f.Free(p); err != nil {
+			t.Error(err)
+		}
+	}
+	stop := make(chan struct{})
+	var flusher sync.WaitGroup
+	flusher.Add(1)
+	go func() {
+		defer flusher.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := c.Flush(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds && !t.Failed(); r++ {
+				// Holding two fronts at once makes the second release park
+				// off the home stripe, feeding other goroutines' steals.
+				n := 1 + (r+w)%2
+				held := make([]*Front, 0, 2)
+				flagsHeld := make([]*atomic.Int32, 0, 2)
+				for i := 0; i < n; i++ {
+					f := c.Acquire()
+					flagsHeld = append(flagsHeld, own(f))
+					use(f)
+					held = append(held, f)
+				}
+				for i, f := range held {
+					flagsHeld[i].Store(0)
+					if err := c.Release(f); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	flusher.Wait()
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.CachedObjects(); got != 0 {
+		t.Fatalf("cached objects = %d after the final Flush, want 0", got)
+	}
+	if err := c.g.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	st := c.g.Stats()
+	if st.Allocs != st.Frees || st.Live != 0 {
+		t.Fatalf("allocs=%d frees=%d live=%d at quiescence", st.Allocs, st.Frees, st.Live)
 	}
 }
 
 func TestReleaseOverflowRetires(t *testing.T) {
-	c, borrows, rets := testCache(t, true, 0)
+	c, borrows, rets := testCache(t, 0)
 	// One goroutine acquires more fronts than there are stripes: every
 	// Acquire empties the caller's stripe, so each is a miss. Releasing
 	// all of them can park at most NumStripes fronts (own stripe + the
@@ -90,11 +213,7 @@ func TestReleaseOverflowRetires(t *testing.T) {
 	const extra = 3
 	fronts := make([]*Front, NumStripes+extra)
 	for i := range fronts {
-		f, ok := c.Acquire()
-		if !ok {
-			t.Fatal("acquire refused")
-		}
-		fronts[i] = f
+		fronts[i] = c.Acquire()
 	}
 	if borrows.Load() != int64(len(fronts)) {
 		t.Fatalf("borrows = %d, want %d", borrows.Load(), len(fronts))
@@ -111,8 +230,8 @@ func TestReleaseOverflowRetires(t *testing.T) {
 
 func TestMagazineFillAndFlush(t *testing.T) {
 	const cap = 8
-	c, _, _ := testCache(t, true, cap)
-	f, _ := c.Acquire()
+	c, _, _ := testCache(t, cap)
+	f := c.Acquire()
 
 	// Cold magazine: the first Malloc batch-fills half the capacity and
 	// pops one.
@@ -192,8 +311,8 @@ func TestMagazineFillAndFlush(t *testing.T) {
 }
 
 func TestMagazineRoutesIneligibleFrees(t *testing.T) {
-	c, _, _ := testCache(t, true, 8)
-	f, _ := c.Acquire()
+	c, _, _ := testCache(t, 8)
+	f := c.Acquire()
 	// An address the page map cannot resolve is not magazine-eligible; it
 	// takes the heap's ordinary path and keeps its typed error.
 	if err := f.Free(0xdead0000); err == nil {
@@ -225,7 +344,7 @@ func TestMagazineRoutesIneligibleFrees(t *testing.T) {
 	if err := c.Flush(); err != nil { // settles q out of the magazine
 		t.Fatal(err)
 	}
-	f, _ = c.Acquire()
+	f = c.Acquire()
 	if err := f.Free(q); err == nil {
 		t.Fatal("double free of a settled object reported no error")
 	}
@@ -235,11 +354,11 @@ func TestMagazineRoutesIneligibleFrees(t *testing.T) {
 }
 
 func TestSetMagazineObjectsClampsAndRetiresStaleFronts(t *testing.T) {
-	c, _, rets := testCache(t, true, MaxMagazineObjects+100)
+	c, _, rets := testCache(t, MaxMagazineObjects+100)
 	if got := c.MagazineObjects(); got != MaxMagazineObjects {
 		t.Fatalf("capacity = %d, want clamped %d", got, MaxMagazineObjects)
 	}
-	f, _ := c.Acquire()
+	f := c.Acquire()
 	if f.magCap != MaxMagazineObjects {
 		t.Fatalf("front capacity = %d, want %d", f.magCap, MaxMagazineObjects)
 	}
@@ -261,7 +380,7 @@ func TestSetMagazineObjectsClampsAndRetiresStaleFronts(t *testing.T) {
 	if rets.Load() != 1 {
 		t.Fatalf("capacity write retired %d fronts, want 1", rets.Load())
 	}
-	g, _ := c.Acquire()
+	g := c.Acquire()
 	if g.magCap != 4 {
 		t.Fatalf("new front capacity = %d, want 4", g.magCap)
 	}
@@ -276,54 +395,11 @@ func TestSetMagazineObjectsClampsAndRetiresStaleFronts(t *testing.T) {
 	}
 }
 
-func TestDisableFlushesAndRestoresPoolPath(t *testing.T) {
-	c, _, rets := testCache(t, true, 8)
-	f, _ := c.Acquire()
-	p, err := f.Malloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Free(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Release(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetEnabled(false); err != nil {
-		t.Fatal(err)
-	}
-	if rets.Load() != 1 {
-		t.Fatalf("disable retired %d fronts, want 1", rets.Load())
-	}
-	if c.CachedObjects() != 0 {
-		t.Fatalf("cached objects = %d after disable, want 0", c.CachedObjects())
-	}
-	if _, ok := c.Acquire(); ok {
-		t.Fatal("disabled cache handed out a front")
-	}
-}
-
-func TestReleaseAfterDisableRetires(t *testing.T) {
-	// A front acquired before the disable must retire on release, not
-	// repopulate a stripe of a disabled cache.
-	c, _, rets := testCache(t, true, 0)
-	f, _ := c.Acquire()
-	if err := c.SetEnabled(false); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Release(f); err != nil {
-		t.Fatal(err)
-	}
-	if rets.Load() != 1 {
-		t.Fatalf("in-flight front survived the disable: rets=%d", rets.Load())
-	}
-}
-
 func TestMagazineAccountingBalancesAtQuiescence(t *testing.T) {
 	// Heap-level accounting counts magazine population as allocated; the
 	// identity allocs == frees must close once the cache flushes.
-	c, _, _ := testCache(t, true, 16)
-	f, _ := c.Acquire()
+	c, _, _ := testCache(t, 16)
+	f := c.Acquire()
 	var live []uint64
 	for i := 0; i < 200; i++ {
 		p, err := f.Malloc(64)

@@ -3,8 +3,8 @@ package mesh
 import "repro/internal/core"
 
 // This file carries the rest of the interposed libc surface (§4) on the
-// public types. Allocator-level calls take the front end's stripe-cached
-// heap (falling back to a pool borrow) and are safe for concurrent use;
+// public types. Allocator-level calls take a front-end heap (a stripe
+// hit, a steal, or a pool borrow) and are safe for concurrent use;
 // Thread-level calls run on the pinned heap. These composite operations
 // use the cached heap directly rather than the magazines — their inner
 // mallocs/frees are not the scalar hot path — so they keep the locked
@@ -12,16 +12,11 @@ import "repro/internal/core"
 
 // Calloc allocates n objects of size bytes each, zeroed.
 func (a *Allocator) Calloc(n, size int) (Ptr, error) {
-	if f, ok := a.front.Acquire(); ok {
-		p, err := f.Heap().Calloc(n, size)
-		if rerr := a.front.Release(f); rerr != nil && err == nil {
-			err = rerr
-		}
-		return p, err
+	f := a.front.Acquire()
+	p, err := f.Heap().Calloc(n, size)
+	if rerr := a.front.Release(f); rerr != nil && err == nil {
+		err = rerr
 	}
-	th := a.pool.acquire()
-	p, err := th.Calloc(n, size)
-	a.pool.release(th)
 	return p, err
 }
 
@@ -29,32 +24,22 @@ func (a *Allocator) Calloc(n, size int) (Ptr, error) {
 // realloc semantics, including Realloc(0, n) = Malloc and Realloc(p, 0) =
 // Free).
 func (a *Allocator) Realloc(p Ptr, size int) (Ptr, error) {
-	if f, ok := a.front.Acquire(); ok {
-		q, err := f.Heap().Realloc(p, size)
-		if rerr := a.front.Release(f); rerr != nil && err == nil {
-			err = rerr
-		}
-		return q, err
+	f := a.front.Acquire()
+	q, err := f.Heap().Realloc(p, size)
+	if rerr := a.front.Release(f); rerr != nil && err == nil {
+		err = rerr
 	}
-	th := a.pool.acquire()
-	q, err := th.Realloc(p, size)
-	a.pool.release(th)
 	return q, err
 }
 
 // AlignedAlloc allocates size bytes aligned to align (a power of two up to
 // the page size).
 func (a *Allocator) AlignedAlloc(align, size int) (Ptr, error) {
-	if f, ok := a.front.Acquire(); ok {
-		p, err := f.Heap().AlignedAlloc(align, size)
-		if rerr := a.front.Release(f); rerr != nil && err == nil {
-			err = rerr
-		}
-		return p, err
+	f := a.front.Acquire()
+	p, err := f.Heap().AlignedAlloc(align, size)
+	if rerr := a.front.Release(f); rerr != nil && err == nil {
+		err = rerr
 	}
-	th := a.pool.acquire()
-	p, err := th.AlignedAlloc(align, size)
-	a.pool.release(th)
 	return p, err
 }
 

@@ -1,32 +1,23 @@
 package mesh
 
 // The batch API amortizes per-call overhead for heavy-traffic callers: an
-// Allocator-level batch takes one stripe-cached heap (or one pool borrow
-// when the front end is off) for the whole batch instead of per object,
-// accounting atomics are coalesced, and non-local frees take the
-// global-heap lock once per batch instead of once per object. Allocation
-// policy is unchanged — each object still comes off a shuffle vector in
-// randomized order, so batches are exactly as meshable as the equivalent
-// scalar calls.
+// Allocator-level batch takes one front-end heap for the whole batch
+// instead of per object, accounting atomics are coalesced, and non-local
+// frees take the global-heap lock once per batch instead of once per
+// object. Allocation policy is unchanged — each object still comes off a
+// shuffle vector in randomized order, so batches are exactly as meshable
+// as the equivalent scalar calls.
 
 // MallocBatch allocates one object per entry of sizes using a single
 // heap acquisition. It is all-or-nothing: on error, objects allocated
 // earlier in the batch are freed again and no addresses are returned.
 // Safe for concurrent use.
 func (a *Allocator) MallocBatch(sizes []int) ([]Ptr, error) {
-	if f, ok := a.front.Acquire(); ok {
-		out, err := f.Heap().MallocBatch(sizes, make([]uint64, 0, len(sizes)))
-		if rerr := a.front.Release(f); rerr != nil && err == nil {
-			err = rerr
-		}
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
+	f := a.front.Acquire()
+	out, err := f.Heap().MallocBatch(sizes, make([]uint64, 0, len(sizes)))
+	if rerr := a.front.Release(f); rerr != nil && err == nil {
+		err = rerr
 	}
-	th := a.pool.acquire()
-	out, err := th.MallocBatch(sizes, make([]uint64, 0, len(sizes)))
-	a.pool.release(th)
 	if err != nil {
 		return nil, err
 	}
@@ -38,16 +29,11 @@ func (a *Allocator) MallocBatch(sizes []int) ([]Ptr, error) {
 // acquisition. Errors for individual pointers are joined; valid pointers
 // in the same batch are still freed. Safe for concurrent use.
 func (a *Allocator) FreeBatch(ptrs []Ptr) error {
-	if f, ok := a.front.Acquire(); ok {
-		err := f.Heap().FreeBatch(ptrs)
-		if rerr := a.front.Release(f); rerr != nil && err == nil {
-			err = rerr
-		}
-		return err
+	f := a.front.Acquire()
+	err := f.Heap().FreeBatch(ptrs)
+	if rerr := a.front.Release(f); rerr != nil && err == nil {
+		err = rerr
 	}
-	th := a.pool.acquire()
-	err := th.FreeBatch(ptrs)
-	a.pool.release(th)
 	return err
 }
 

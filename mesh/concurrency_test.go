@@ -179,11 +179,10 @@ func TestConcurrentMixedThreadsAndPool(t *testing.T) {
 	}
 }
 
-// TestPoolReusesHeaps checks that sequential Allocator calls recycle one
-// heap instead of growing the population: with the front end on, the heap
-// lives on a stripe (one pool borrow ever, for the cold start); with it
-// off, every call round-trips through the pool exactly as before the
-// stripe layer existed.
+// TestPoolReusesHeaps checks that sequential use recycles one heap
+// instead of growing the population: through the front end the heap
+// lives on a stripe (one pool borrow ever, for the cold start), and the
+// pool's overflow list hands a returned heap straight back out.
 func TestPoolReusesHeaps(t *testing.T) {
 	run := func(t *testing.T, a *Allocator) {
 		t.Helper()
@@ -228,17 +227,41 @@ func TestPoolReusesHeaps(t *testing.T) {
 			t.Fatalf("pool.idle = %d after Flush, want 0", idle)
 		}
 	})
-	t.Run("pool-only", func(t *testing.T) {
-		a := New(WithSeed(3), WithFrontend(false))
-		run(t, a)
+	t.Run("overflow-list", func(t *testing.T) {
+		// Drive the pool directly, as retirements on a full stripe array
+		// and the cold path do: each return parks on the Treiber list and
+		// the next borrow pops the same heap.
+		a := New(WithSeed(3))
+		first := a.pool.acquire()
+		a.pool.release(first)
+		for i := 0; i < 100; i++ {
+			th := a.pool.acquire()
+			if th != first {
+				t.Fatalf("borrow %d got a different heap than the one parked", i)
+			}
+			p, err := th.Malloc(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := th.Free(p); err != nil {
+				t.Fatal(err)
+			}
+			a.pool.release(th)
+		}
+		if created, _ := a.ReadControl("pool.created"); created.(int) != 1 {
+			t.Fatalf("pool.created = %d, want 1", created)
+		}
 		if idle, _ := a.ReadControl("pool.idle"); idle.(int) != 1 {
 			t.Fatalf("pool.idle = %d, want 1", idle)
 		}
-		if borrows, _ := a.ReadControl("stats.pool.borrows"); borrows.(uint64) != 200 {
-			t.Fatalf("stats.pool.borrows = %d, want 200 (one per call)", borrows)
+		if borrows, _ := a.ReadControl("stats.pool.borrows"); borrows.(uint64) != 101 {
+			t.Fatalf("stats.pool.borrows = %d, want 101 (one per borrow)", borrows)
 		}
-		if hits, _ := a.ReadControl("stats.frontend.hits"); hits.(uint64) != 0 {
-			t.Fatalf("stats.frontend.hits = %d with the front end off, want 0", hits)
+		if err := a.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if idle, _ := a.ReadControl("pool.idle"); idle.(int) != 0 {
+			t.Fatalf("pool.idle = %d after Flush, want 0", idle)
 		}
 	})
 }

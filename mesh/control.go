@@ -26,12 +26,10 @@ import (
 //	mesh.min_savings  int (bytes)     rw        pass-productivity threshold that disarms the timer (§4.5)
 //	mesh.split_t      int             rw        SplitMesher probe budget (§3.3, paper t=64)
 //	mesh.compact      (ignored)       w         force a full meshing pass now
-//	remote.queue      bool            rw        message-passing remote frees on/off (off = always use the shard-locked path, restoring cross-thread double-free detection)
 //	os.memory_limit   int64 (bytes)   rw        resident-memory cap, 0 = unlimited (§1); rounded down to pages
 //	pool.idle         int             r         thread heaps parked in the pool
 //	pool.created      int             r         thread heaps ever created by the pool
 //	pool.flush        (ignored)       w         relinquish idle pooled heaps (= Flush)
-//	frontend.enabled  bool            rw        per-stripe front-end heap cache on/off (off also flushes the stripes; every call then borrows from the pool)
 //	frontend.magazine_objects int     rw        per-size-class magazine capacity in objects, 0 = magazines off; max frontend.MaxMagazineObjects; writing flushes cached fronts
 //	stats.rss         int64           r         resident physical bytes
 //	stats.live        int64           r         live object bytes
@@ -45,10 +43,10 @@ import (
 //	stats.vm.retries  uint64          r         seqlock retries on the data path (health metric: ≈0 is healthy)
 //	stats.remote.queued uint64        r         frees message-passed to owner queues (no shard lock taken)
 //	stats.remote.drained uint64       r         queued frees settled by owners; equals queued at quiescence
-//	stats.pool.borrows uint64         r         thread-heap hand-offs out of the pool (stripe misses only while the front end is on)
+//	stats.pool.borrows uint64         r         thread-heap hand-offs out of the pool (misses that found every stripe empty; a steal is not a borrow)
 //	stats.pool.returns uint64         r         thread-heap hand-offs back into the pool
 //	stats.frontend.hits uint64        r         Allocator-level calls served by a stripe-cached heap (no pool hand-off)
-//	stats.frontend.misses uint64      r         Allocator-level calls that fell through to a pool borrow
+//	stats.frontend.misses uint64      r         Allocator-level calls that found their stripe empty (served by a steal from another stripe, or by a pool borrow)
 //	stats.frontend.fills uint64       r         magazine refills from the heap (one batched alloc each)
 //	stats.frontend.flushes uint64     r         magazine flushes back to the heap (one batched free each)
 //	stats.frontend.cached_objects int64 r       objects currently parked in stripe magazines (allocs - frees skew; 0 after Flush)
@@ -184,17 +182,6 @@ var controls = map[string]control{
 		// runs, unbounded otherwise.
 		set: func(a *Allocator, _ any) error { a.Mesh(); return nil },
 	},
-	"remote.queue": {
-		set: func(a *Allocator, v any) error {
-			b, ok := v.(bool)
-			if !ok {
-				return fmt.Errorf("%w: need bool, got %T", ErrControlType, v)
-			}
-			a.g.SetRemoteQueues(b)
-			return nil
-		},
-		get: func(a *Allocator) (any, error) { return a.g.RemoteQueuesEnabled(), nil },
-	},
 	"stats.remote.queued": {
 		get: func(a *Allocator) (any, error) { return a.g.RemoteQueued(), nil },
 	},
@@ -223,16 +210,6 @@ var controls = map[string]control{
 	},
 	"pool.flush": {
 		set: func(a *Allocator, _ any) error { return a.pool.flush() },
-	},
-	"frontend.enabled": {
-		set: func(a *Allocator, v any) error {
-			b, ok := v.(bool)
-			if !ok {
-				return fmt.Errorf("%w: need bool, got %T", ErrControlType, v)
-			}
-			return a.front.SetEnabled(b)
-		},
-		get: func(a *Allocator) (any, error) { return a.front.Enabled(), nil },
 	},
 	"frontend.magazine_objects": {
 		set: func(a *Allocator, v any) error {

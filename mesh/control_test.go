@@ -26,12 +26,10 @@ func TestControlKeyTable(t *testing.T) {
 		{key: "mesh.min_savings", set: 4096, want: 4096, readback: true},
 		{key: "mesh.split_t", set: 32, want: 32, readback: true},
 		{key: "mesh.compact", set: struct{}{}},
-		{key: "remote.queue", set: false, want: false, readback: true},
 		{key: "os.memory_limit", set: int64(1 << 20), want: int64(1 << 20), readback: true},
 		{key: "pool.idle", want: 0, readback: true},
 		{key: "pool.created", want: 0, readback: true},
 		{key: "pool.flush", set: struct{}{}},
-		{key: "frontend.enabled", set: true, want: true, readback: true},
 		{key: "frontend.magazine_objects", set: 64, want: 64, readback: true},
 		// No Allocator-level call has run, so the stripes are untouched.
 		{key: "stats.frontend.hits", want: uint64(0), readback: true},
@@ -141,7 +139,6 @@ func TestControlBadTypes(t *testing.T) {
 		{"mesh.period", 3.5},
 		{"mesh.period", "not-a-duration"},
 		{"mesh.enabled", 1},
-		{"remote.queue", 1},
 		{"mesh.min_savings", "many"},
 		{"mesh.split_t", false},
 		{"mesh.split_t", 0}, // must be positive
@@ -167,8 +164,6 @@ func TestControlBadTypes(t *testing.T) {
 		{"harden.audit_spans", int64(-1)},
 		{"harden.audit_spans", "all"},
 		{"harden.audit_spans", 1.5},
-		{"frontend.enabled", 1},
-		{"frontend.enabled", "on"},
 		{"frontend.magazine_objects", int64(-1)},
 		{"frontend.magazine_objects", "many"},
 		{"frontend.magazine_objects", frontend.MaxMagazineObjects + 1},
@@ -210,8 +205,8 @@ func TestControlBadTypes(t *testing.T) {
 		t.Fatalf("rejected harden.audit_spans write clobbered the budget: %v", got)
 	}
 
-	// Same for the front end: rejected writes leave the capacity (and the
-	// enable switch, which defaults on) untouched.
+	// Same for the front end: rejected writes leave the capacity
+	// untouched.
 	if err := a.Control("frontend.magazine_objects", 32); err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +215,6 @@ func TestControlBadTypes(t *testing.T) {
 	}
 	if got, _ := a.ReadControl("frontend.magazine_objects"); got != 32 {
 		t.Fatalf("rejected frontend.magazine_objects write clobbered the capacity: %v", got)
-	}
-	if got, _ := a.ReadControl("frontend.enabled"); got != true {
-		t.Fatalf("rejected frontend writes flipped frontend.enabled to %v", got)
 	}
 }
 
@@ -293,11 +285,11 @@ func TestControlValuesTakeEffect(t *testing.T) {
 
 // TestContentionIntrospection drives traffic shapes with known lock
 // behaviour through the allocator and checks the contention counters move
-// accordingly: local frees bump only the lock-free lookup counter; with
-// message-passing disabled, remote (cross-thread) frees acquire exactly
-// one shard per free and batch frees one shard per class; with it enabled
-// (the default), remote frees queue on the owner's heap and take no shard
-// lock at all beyond refill setup.
+// accordingly: local frees bump only the lock-free lookup counter;
+// cross-thread frees of a closed owner's objects (detached spans, so
+// nothing can queue) acquire exactly one shard per free, and batch frees
+// one shard per class; while the owner is live, remote frees queue on its
+// heap and take no shard lock at all beyond refill setup.
 func TestContentionIntrospection(t *testing.T) {
 	readU64 := func(t *testing.T, a *Allocator, key string) uint64 {
 		t.Helper()
@@ -308,9 +300,8 @@ func TestContentionIntrospection(t *testing.T) {
 		return v.(uint64)
 	}
 	cases := []struct {
-		name         string
-		remoteQueues bool
-		run          func(t *testing.T, a *Allocator)
+		name string
+		run  func(t *testing.T, a *Allocator)
 		// counter deltas: lookups must grow by at least minLookups, shard
 		// acquisitions by at least minShards and at most maxShards, and
 		// queued message-passed frees by exactly wantQueued.
@@ -340,20 +331,26 @@ func TestContentionIntrospection(t *testing.T) {
 			name: "remote-frees-take-shards",
 			run: func(t *testing.T, a *Allocator) {
 				th := a.NewThread()
-				defer th.Close()
 				other := a.NewThread()
 				defer other.Close()
+				var ptrs []Ptr
 				for i := 0; i < 8; i++ {
 					p, err := th.Malloc(64)
 					if err != nil {
 						t.Fatal(err)
 					}
+					ptrs = append(ptrs, p)
+				}
+				if err := th.Close(); err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range ptrs {
 					if err := other.Free(p); err != nil {
 						t.Fatal(err)
 					}
 				}
 			},
-			// Each remote free with remote.queue off: one lock-free miss
+			// Each free of a detached span's object: one lock-free miss
 			// on the freeing thread, then one shard acquisition (plus a
 			// re-lookup) on the global path.
 			minLookups: 16,
@@ -361,8 +358,7 @@ func TestContentionIntrospection(t *testing.T) {
 			maxShards:  64,
 		},
 		{
-			name:         "remote-frees-queue-without-shards",
-			remoteQueues: true,
+			name: "remote-frees-queue-without-shards",
 			run: func(t *testing.T, a *Allocator) {
 				th := a.NewThread()
 				defer th.Close()
@@ -378,8 +374,8 @@ func TestContentionIntrospection(t *testing.T) {
 					}
 				}
 			},
-			// Each remote free with remote.queue on: one lock-free miss,
-			// one CAS onto the owner's queue — the only shard acquisitions
+			// Each remote free to a live owner: one lock-free miss, one
+			// CAS onto the owner's queue — the only shard acquisitions
 			// left are th's single refill (span alloc + registry).
 			minLookups: 8,
 			minShards:  1,
@@ -390,7 +386,6 @@ func TestContentionIntrospection(t *testing.T) {
 			name: "batch-free-one-shard-per-class",
 			run: func(t *testing.T, a *Allocator) {
 				th := a.NewThread()
-				defer th.Close()
 				other := a.NewThread()
 				defer other.Close()
 				var ptrs []Ptr
@@ -401,11 +396,14 @@ func TestContentionIntrospection(t *testing.T) {
 					}
 					ptrs = append(ptrs, p)
 				}
+				if err := th.Close(); err != nil {
+					t.Fatal(err)
+				}
 				if err := other.FreeBatch(ptrs); err != nil {
 					t.Fatal(err)
 				}
 			},
-			// Six remote frees in two classes with remote.queue off: the
+			// Six frees of a closed owner's objects in two classes: the
 			// batch partition takes each of the two shard locks once, not
 			// six times. Setup refills take a few more, so bound loosely
 			// from above but well under one-acquisition-per-free (6) plus
@@ -415,8 +413,7 @@ func TestContentionIntrospection(t *testing.T) {
 			maxShards:  10,
 		},
 		{
-			name:         "batch-free-queues-without-shards",
-			remoteQueues: true,
+			name: "batch-free-queues-without-shards",
 			run: func(t *testing.T, a *Allocator) {
 				th := a.NewThread()
 				defer th.Close()
@@ -444,8 +441,7 @@ func TestContentionIntrospection(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := New(WithSeed(1), WithClock(NewLogicalClock()), WithMeshing(false),
-				WithRemoteQueues(tc.remoteQueues))
+			a := New(WithSeed(1), WithClock(NewLogicalClock()), WithMeshing(false))
 			look0 := readU64(t, a, "stats.arena.lookups")
 			shard0 := readU64(t, a, "stats.global.shard_acquires")
 			tc.run(t, a)

@@ -15,102 +15,6 @@ func readFrontU64(t *testing.T, a *Allocator, key string) uint64 {
 	return v.(uint64)
 }
 
-// TestFrontendDisabledParity pins the escape hatch: with the front end
-// off, a scalar workload takes exactly the pre-front-end pool path, and
-// because either way the traffic is served by the same single heap, the
-// address sequences of the two configurations are identical.
-func TestFrontendDisabledParity(t *testing.T) {
-	run := func(a *Allocator) []Ptr {
-		var seq []Ptr
-		for i := 0; i < 300; i++ {
-			size := []int{16, 64, 256, 1024}[i%4]
-			p, err := a.Malloc(size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq = append(seq, p)
-			if i%2 == 1 {
-				if err := a.Free(seq[i-1]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return seq
-	}
-	on := New(WithSeed(7), WithClock(NewLogicalClock()), WithMeshing(false))
-	off := New(WithSeed(7), WithClock(NewLogicalClock()), WithMeshing(false), WithFrontend(false))
-	seqOn, seqOff := run(on), run(off)
-	for i := range seqOn {
-		if seqOn[i] != seqOff[i] {
-			t.Fatalf("address %d diverged: frontend=%#x pool-only=%#x", i, seqOn[i], seqOff[i])
-		}
-	}
-	// The pool-only allocator paid one borrow per call (300 mallocs +
-	// 150 frees); the front end paid one, for the cold start — the
-	// >=10x per-op reduction the stripe layer exists for.
-	if b := readFrontU64(t, off, "stats.pool.borrows"); b != 450 {
-		t.Fatalf("pool-only borrows = %d, want 450", b)
-	}
-	if b := readFrontU64(t, on, "stats.pool.borrows"); b != 1 {
-		t.Fatalf("frontend borrows = %d, want 1", b)
-	}
-}
-
-// TestFrontendRuntimeToggle flips frontend.enabled mid-traffic and checks
-// both directions take effect: disabling flushes the stripes and routes
-// every call through the pool again; re-enabling repopulates.
-func TestFrontendRuntimeToggle(t *testing.T) {
-	a := New(WithSeed(11), WithClock(NewLogicalClock()))
-	for i := 0; i < 10; i++ {
-		p, err := a.Malloc(64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Free(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := a.Control("frontend.enabled", false); err != nil {
-		t.Fatal(err)
-	}
-	if idle, _ := a.ReadControl("pool.idle"); idle.(int) != 1 {
-		t.Fatalf("disable did not hand the cached heap back: pool.idle = %d", idle)
-	}
-	b0 := readFrontU64(t, a, "stats.pool.borrows")
-	h0 := readFrontU64(t, a, "stats.frontend.hits")
-	for i := 0; i < 10; i++ {
-		p, err := a.Malloc(64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Free(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := readFrontU64(t, a, "stats.pool.borrows") - b0; d != 20 {
-		t.Fatalf("disabled front end: pool borrows grew %d over 20 calls, want 20", d)
-	}
-	if d := readFrontU64(t, a, "stats.frontend.hits") - h0; d != 0 {
-		t.Fatalf("disabled front end recorded %d stripe hits", d)
-	}
-	if err := a.Control("frontend.enabled", true); err != nil {
-		t.Fatal(err)
-	}
-	b1 := readFrontU64(t, a, "stats.pool.borrows")
-	for i := 0; i < 10; i++ {
-		p, err := a.Malloc(64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Free(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := readFrontU64(t, a, "stats.pool.borrows") - b1; d != 1 {
-		t.Fatalf("re-enabled front end: pool borrows grew %d, want 1 (cold restart)", d)
-	}
-}
-
 // TestMagazineAccountingIdentity checks the accounting contract with
 // magazines on: mid-traffic the heap-level identity holds with the skew
 // reported by stats.frontend.cached_objects; Flush closes the books.

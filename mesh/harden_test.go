@@ -165,6 +165,66 @@ func TestHardenDoubleFreeDetected(t *testing.T) {
 	}
 }
 
+// TestHardenRemoteDoubleFreeCounted pins the documented way to catch
+// cross-thread double frees: with hardening on, both frees of one object
+// from another Thread queue on the owner's remote-free queue (the push
+// trusts the caller), and the owner's drain drops the duplicate through
+// the poison precheck and counts it in InvalidFree. The slot is never
+// handed out twice and the books close.
+func TestHardenRemoteDoubleFreeCounted(t *testing.T) {
+	a := New(WithSeed(4), WithClock(NewLogicalClock()), WithHardening(true), WithMeshing(false))
+	owner, other := a.NewThread(), a.NewThread()
+	p, err := owner.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := other.Free(p); err != nil {
+			t.Fatalf("queued free %d: %v", i, err)
+		}
+	}
+	// The owner's refills drain its queue while these allocations run.
+	seen := make(map[Ptr]bool)
+	var ptrs []Ptr
+	for i := 0; i < 300; i++ {
+		q, err := owner.Malloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[q] {
+			t.Fatalf("address %#x handed out twice after a dropped double free", q)
+		}
+		seen[q] = true
+		ptrs = append(ptrs, q)
+	}
+	if st := a.Stats(); st.InvalidFree != 1 {
+		t.Fatalf("InvalidFree = %d, want 1 (the dropped duplicate)", st.InvalidFree)
+	}
+	for _, q := range ptrs {
+		if err := owner.Free(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, th := range []*Thread{owner, other} {
+		if err := th.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := a.Stats()
+	if st.InvalidFree != 1 {
+		t.Fatalf("InvalidFree = %d at quiescence, want 1", st.InvalidFree)
+	}
+	if st.Allocs != st.Frees || st.Live != 0 {
+		t.Fatalf("allocs=%d frees=%d live=%d, want closed books", st.Allocs, st.Frees, st.Live)
+	}
+	if st.Remote.Queued != st.Remote.Drained {
+		t.Fatalf("remote queued %d != drained %d", st.Remote.Queued, st.Remote.Drained)
+	}
+	if err := a.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHardenInjectionChaos is the acceptance pin for the corruption fault
 // sites: with harden.canary and harden.poison armed at exact counts, every
 // injection becomes a detected violation (violations == injections), every

@@ -23,21 +23,22 @@
 // method at any time with no external synchronization. Internally each
 // call takes a thread-local heap (§4.3) from the per-stripe front end —
 // a goroutine-stripe hash picks a padded slot, one uncontended swap
-// acquires the cached heap, one CAS parks it again — falling back to a
-// lock-free heap pool on stripe misses, so concurrent Mallocs proceed in
-// parallel on distinct heaps with no shared hand-off traffic in steady
-// state (see internal/frontend; frontend.enabled restores the pure pool
-// path). Frees of objects owned by other heaps are message-passed: posted to the
-// owning heap's lock-free remote-free queue (two atomic loads and a CAS,
-// no lock) and recycled by the owner at its next drain point — the malloc
-// slow path, thread exit, or pool park/unpark. Only frees of detached
-// spans and large objects take the shard-locked global-heap path
-// (§4.4.4). The message-passing path can be disabled at runtime with
-// Control("remote.queue", false), which restores the fully locked remote
-// path and, with it, reliable double-free detection on cross-thread frees
-// — the queued path extends the paper's trust-the-caller fast-path
-// semantics (§4.1) to remote frees. Stats, RSS, ClassStats and the
-// Control surface are likewise safe under concurrency.
+// acquires the cached heap, one CAS parks it again. A miss on an empty
+// stripe steals a heap parked on another stripe, and only when every
+// stripe is empty borrows from a lock-free heap pool, so concurrent
+// Mallocs proceed in parallel on distinct heaps with no shared hand-off
+// traffic in steady state (see internal/frontend). Frees of objects owned
+// by other heaps are message-passed: posted to the owning heap's
+// lock-free remote-free queue (two atomic loads and a CAS, no lock) and
+// recycled by the owner at its next drain point — the malloc slow path,
+// thread exit, or a stripe or pool park. Only frees of detached spans and
+// large objects take the shard-locked global-heap path (§4.4.4). The
+// queued path extends the paper's trust-the-caller fast-path semantics
+// (§4.1) to remote frees: to catch cross-thread double frees, turn on
+// heap hardening (WithHardening, or Control("harden.enabled", true)),
+// whose drain-side poison precheck drops a queued duplicate and counts it
+// in Stats.InvalidFree. Stats, RSS, ClassStats and the Control surface
+// are likewise safe under concurrency.
 //
 // Basic usage:
 //
@@ -277,12 +278,6 @@ func WithMinMeshSavings(bytes int) Option {
 	return func(c *core.Config) { c.MinMeshSavings = bytes }
 }
 
-// WithSplitMesherT sets the per-span probe budget of the SplitMesher
-// algorithm (the paper uses t=64).
-func WithSplitMesherT(t int) Option {
-	return func(c *core.Config) { c.SplitMesherT = t }
-}
-
 // WithClock injects a Clock (e.g. a LogicalClock) for deterministic mesh
 // rate limiting.
 func WithClock(clk Clock) Option {
@@ -320,16 +315,6 @@ func WithMeshStepCost(d time.Duration) Option {
 	return func(c *core.Config) { c.MeshStepCost = d }
 }
 
-// WithRemoteQueues enables or disables message-passing remote frees
-// (default enabled): cross-thread frees of objects on spans attached to a
-// live heap are posted to that heap's lock-free queue instead of taking
-// the owning size class's shard lock. Disabling restores the fully
-// shard-locked remote path — and with it, reliable double-free detection
-// on cross-thread frees. Runtime-togglable via Control("remote.queue", b).
-func WithRemoteQueues(enabled bool) Option {
-	return func(c *core.Config) { c.RemoteQueues = enabled }
-}
-
 // WithTracing starts the allocator with the flight recorder on. The
 // recorder is always compiled in and runtime-togglable via
 // Control("trace.enabled", bool); this option only flips the initial
@@ -343,13 +328,6 @@ func WithTracing(enabled bool) Option {
 // Runtime-tunable via Control("trace.sample_rate", n).
 func WithTraceSampleRate(n int) Option {
 	return func(c *core.Config) { c.TraceSampleRate = n }
-}
-
-// WithTraceBufferEvents sets the per-source trace ring capacity in
-// events (default 4096, rounded up to a power of two). Runtime-tunable
-// via Control("trace.buffer_events", n) for rings created afterwards.
-func WithTraceBufferEvents(n int) Option {
-	return func(c *core.Config) { c.TraceBufferEvents = n }
 }
 
 // WithFaultPlan arms the deterministic fault-injection plane with a plan
@@ -395,17 +373,6 @@ func WithQuarantine(enabled bool) Option {
 	return func(c *core.Config) { c.Quarantine = enabled }
 }
 
-// WithFrontend starts the allocator with the per-stripe front-end cache
-// on (the default) or off. On, Allocator-level calls take their thread
-// heap from a goroutine-striped slot array — one uncontended swap on a
-// stripe-private cache line — and the heap pool serves only stripe
-// misses and overflow. Off, every call pays the pool borrow/return round
-// trip (the pre-front-end behavior, bit for bit). Runtime-togglable via
-// Control("frontend.enabled", bool).
-func WithFrontend(enabled bool) Option {
-	return func(c *core.Config) { c.FrontEnd = enabled }
-}
-
 // WithMagazineObjects sets the per-size-class magazine capacity of each
 // front-end stripe (default 0 = magazines off; clamped to the
 // frontend.magazine_objects bounds). With magazines on, scalar
@@ -428,9 +395,9 @@ func WithOOMBackpressure(enabled bool) Option {
 }
 
 // Allocator is a Mesh heap, safe for concurrent use by any number of
-// goroutines. Each call transparently borrows a pooled thread heap; see
-// the package comment for the concurrency model and NewThread for the
-// explicit fast path.
+// goroutines. Each call transparently takes a thread heap from the
+// front end; see the package comment for the concurrency model and
+// NewThread for the explicit fast path.
 type Allocator struct {
 	g      *core.GlobalHeap
 	nextID atomic.Uint64
@@ -448,7 +415,7 @@ func New(opts ...Option) *Allocator {
 	}
 	a := &Allocator{g: core.NewGlobalHeap(cfg)}
 	a.pool = newHeapPool(a.g, &a.nextID)
-	a.front = frontend.NewCache(a.g, cfg.FrontEnd, cfg.MagazineObjects, a.pool.acquire, a.pool.release)
+	a.front = frontend.NewCache(a.g, cfg.MagazineObjects, a.pool.acquire, a.pool.release)
 	a.daemon = meshd.New(a.g, meshd.Config{})
 	if cfg.BackgroundMeshing {
 		a.daemon.Start()
@@ -470,32 +437,22 @@ func (a *Allocator) Close() error {
 
 // Malloc allocates size bytes.
 func (a *Allocator) Malloc(size int) (Ptr, error) {
-	if f, ok := a.front.Acquire(); ok {
-		p, err := f.Malloc(size)
-		if rerr := a.front.Release(f); rerr != nil && err == nil {
-			err = rerr
-		}
-		return p, err
+	f := a.front.Acquire()
+	p, err := f.Malloc(size)
+	if rerr := a.front.Release(f); rerr != nil && err == nil {
+		err = rerr
 	}
-	th := a.pool.acquire()
-	p, err := th.Malloc(size)
-	a.pool.release(th)
 	return p, err
 }
 
 // Free releases an object allocated by any goroutine or Thread of this
 // allocator.
 func (a *Allocator) Free(p Ptr) error {
-	if f, ok := a.front.Acquire(); ok {
-		err := f.Free(p)
-		if rerr := a.front.Release(f); rerr != nil && err == nil {
-			err = rerr
-		}
-		return err
+	f := a.front.Acquire()
+	err := f.Free(p)
+	if rerr := a.front.Release(f); rerr != nil && err == nil {
+		err = rerr
 	}
-	th := a.pool.acquire()
-	err := th.Free(p)
-	a.pool.release(th)
 	return err
 }
 
@@ -551,7 +508,7 @@ func (a *Allocator) RSS() int64 { return a.g.OS().RSS() }
 func (a *Allocator) Flush() error { return errors.Join(a.front.Flush(), a.pool.flush()) }
 
 // Thread is a per-worker heap handle (the paper's thread-local heap),
-// pinning one internal heap instead of borrowing from the pool per call.
+// pinning one internal heap instead of taking a front-end heap per call.
 // A Thread must be used from one goroutine at a time; distinct Threads —
 // and concurrent Allocator calls — may be used in parallel. Close
 // relinquishes its spans to the global heap, making them meshing

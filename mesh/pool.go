@@ -8,53 +8,41 @@ import (
 )
 
 // heapPool is the allocator's cold-path heap store: the per-stripe front
-// end (internal/frontend) serves steady-state Allocator-level traffic
-// from its cached heaps, and the pool hands out a core.ThreadHeap only
-// on stripe misses — plus taking heaps back on stripe collisions and
-// front-end flushes, and serving every call when frontend.enabled is
-// off. Either way a heap has exactly one owner at a time (the
+// end (internal/frontend) serves Allocator-level traffic from its parked
+// fronts — a miss on the caller's stripe steals a front parked on another
+// — and the pool hands out a core.ThreadHeap only when every stripe is
+// empty, and takes heaps back when every stripe is full or on front-end
+// flushes. Either way a heap has exactly one owner at a time (the
 // single-owner invariant meshing relies on, §4.5.3).
 //
-// Two layers, both lock-free and both non-blocking:
+// The store is a lock-free, non-blocking Treiber stack. Each push
+// allocates a fresh node; Go's garbage collector makes the stack
+// ABA-safe, because a popped node cannot be recycled at the same address
+// while another goroutine still holds a pointer to it. Nodes are
+// deliberately NOT recycled through a sync.Pool: reusing node memory
+// would reintroduce the ABA hazard, and parking whole ThreadHeaps in a
+// sync.Pool would let the collector drop them, stranding their attached
+// spans (attached MiniHeaps are never meshing candidates, so those spans'
+// RSS would never be reclaimed). The atomic hand-offs also provide the
+// happens-before edge that transfers heap ownership between goroutines.
 //
-//   - slots: a small array of single-heap slots operated purely with
-//     atomic swap/CAS on the heap pointer itself. One swap acquires, one
-//     CAS releases, nothing is allocated — this serves steady-state
-//     traffic up to len(slots) concurrent borrowers.
-//   - head: a Treiber-stack overflow list holding any surplus beyond the
-//     slot array. Each push allocates a fresh node; Go's garbage
-//     collector makes the stack ABA-safe, because a popped node cannot be
-//     recycled at the same address while another goroutine still holds a
-//     pointer to it.
-//
-// Nodes are deliberately NOT recycled through a sync.Pool: reusing node
-// memory would reintroduce the ABA hazard, and parking whole ThreadHeaps
-// in a sync.Pool would let the collector drop them, stranding their
-// attached spans (attached MiniHeaps are never meshing candidates, so
-// those spans' RSS would never be reclaimed). The atomic hand-offs also
-// provide the happens-before edge that transfers heap ownership between
-// goroutines.
-//
-// When every layer is momentarily empty a new heap is created — heaps are
-// cheap (a few KiB of shuffle-vector state) and the population converges
-// to the peak concurrency of the caller.
+// When the stack is empty a new heap is created — heaps are cheap (a few
+// KiB of shuffle-vector state) and the population converges to the peak
+// concurrency of the caller.
 type heapPool struct {
 	g      *core.GlobalHeap
 	nextID *atomic.Uint64
 
-	slots [16]atomic.Pointer[core.ThreadHeap]
-	head  atomic.Pointer[heapNode]
+	head atomic.Pointer[heapNode]
 
-	idle    atomic.Int64  // heaps currently parked in the pool (slots + stack)
+	idle    atomic.Int64  // heaps currently parked in the pool
 	created atomic.Uint64 // heaps ever created by this pool
 
-	// borrows/returns count hand-offs through the pool (stats.pool.*).
-	// With the front end on these are true pool round trips only — stripe
-	// misses, collisions, and flushes; stripe hits count under
-	// stats.frontend.hits instead — so borrows-per-op is the measure of
-	// how often the front end fails to absorb a call. With the front end
-	// off, every Allocator-level call pays one borrow/return, the old
-	// baseline the stripes were built to beat.
+	// borrows/returns count hand-offs through the pool (stats.pool.*):
+	// cold starts, retirements on a full stripe array, and flushes. Stripe
+	// hits and steals count under stats.frontend.* instead, so
+	// borrows-per-op measures how often the front end fails to absorb a
+	// call.
 	borrows atomic.Uint64
 	returns atomic.Uint64
 }
@@ -77,16 +65,6 @@ func newHeapPool(g *core.GlobalHeap, nextID *atomic.Uint64) *heapPool {
 //mesh:lockfree
 func (p *heapPool) acquire() *core.ThreadHeap {
 	p.borrows.Add(1)
-	for i := range p.slots {
-		if p.slots[i].Load() == nil {
-			continue
-		}
-		if th := p.slots[i].Swap(nil); th != nil {
-			p.idle.Add(-1)
-			th.DrainRemoteFrees() //mesh:slowpath — the unpark drain point; settles queued frees before handing the heap out
-			return th
-		}
-	}
 	for {
 		n := p.head.Load()
 		if n == nil {
@@ -112,17 +90,8 @@ func (p *heapPool) acquire() *core.ThreadHeap {
 //mesh:lockfree
 func (p *heapPool) release(th *core.ThreadHeap) {
 	p.returns.Add(1)
-	th.DrainRemoteFrees() //mesh:slowpath — the park drain point; settles queued frees while we still own the heap
-	for i := range p.slots {
-		if p.slots[i].Load() != nil {
-			continue
-		}
-		if p.slots[i].CompareAndSwap(nil, th) {
-			p.idle.Add(1)
-			return
-		}
-	}
-	n := &heapNode{th: th} //mesh:slowpath — overflow beyond the slot array allocates one fresh node per push (ABA safety)
+	th.DrainRemoteFrees()  //mesh:slowpath — the park drain point; settles queued frees while we still own the heap
+	n := &heapNode{th: th} //mesh:slowpath — one fresh node per push (ABA safety)
 	for {
 		n.next = p.head.Load()
 		if p.head.CompareAndSwap(n.next, n) {
@@ -138,19 +107,11 @@ func (p *heapPool) release(th *core.ThreadHeap) {
 // (now empty) pool as those calls finish.
 func (p *heapPool) flush() error {
 	var errs []error
-	done := func(th *core.ThreadHeap) {
+	for n := p.head.Swap(nil); n != nil; n = n.next {
 		p.idle.Add(-1)
-		if err := th.Done(); err != nil {
+		if err := n.th.Done(); err != nil {
 			errs = append(errs, err)
 		}
-	}
-	for i := range p.slots {
-		if th := p.slots[i].Swap(nil); th != nil {
-			done(th)
-		}
-	}
-	for n := p.head.Swap(nil); n != nil; n = n.next {
-		done(n.th)
 	}
 	return errors.Join(errs...)
 }

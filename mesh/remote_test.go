@@ -8,9 +8,9 @@ import (
 
 // TestRemoteFreeStressPoolAndMeshing is the public-API litmus stress for
 // the message-passing remote-free path: producers allocate from explicit
-// Threads and from the pooled Allocator surface, consumers free through
-// the pooled surface (every call borrows a different heap, so park/unpark
-// drains interleave with pushes), and the background daemon meshes
+// Threads and from the shared Allocator surface, consumers free through
+// the shared surface (every call takes a front-end heap and parks it
+// again, so park drains interleave with pushes), and the background daemon meshes
 // detached spans underneath — the protect→copy→remap windows race the
 // drain-by-address fallback. The lost-free and double-free checks are the
 // exact-accounting invariants: after Flush, live bytes are zero, frees
@@ -39,8 +39,8 @@ func TestRemoteFreeStressPoolAndMeshing(t *testing.T) {
 		go func(p int) {
 			defer prodWG.Done()
 			// Half the producers pin a Thread (its heap's queue drains at
-			// refill/Close), half use the pooled surface (drains at
-			// park/unpark).
+			// refill/Close), half use the shared surface (drains at each
+			// stripe park).
 			var th *Thread
 			if p%2 == 0 {
 				th = a.NewThread()
