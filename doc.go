@@ -13,7 +13,11 @@
 // behind every non-local free is a lock-free two-level radix page map
 // (internal/arena) — a lookup is two atomic loads, so frees and refills
 // in distinct size classes never contend (see the lock-hierarchy
-// comment in internal/core/global.go).
+// comment in internal/core/global.go). A thread heap refills an
+// exhausted shuffle vector from several of the fullest partially full
+// spans in one hold of the class's shard lock, until it holds as many
+// free slots as a fresh span would give; it commits a fresh span only
+// when the occupancy bins are empty.
 // Cross-thread frees of objects on spans attached to a live heap are
 // message-passing: posted to the owning heap's lock-free MPSC queue
 // (internal/core/remote.go) with a single CAS and recycled by the

@@ -54,10 +54,10 @@ func (t *ThreadHeap) MallocBatch(sizes []int, out []uint64) ([]uint64, error) {
 				return out[:start], err
 			}
 		}
-		off, _ := sv.Malloc()
-		mh := t.attached[class]
+		span, off, _ := sv.Malloc()
+		mh := t.attached[class][span]
 		if mh.Hardened() {
-			if err := t.hardenAlloc(class, mh, off); err != nil {
+			if err := t.hardenAlloc(class, span, mh, off); err != nil {
 				flush()
 				_ = t.FreeBatch(out[start:])
 				return out[:start], err

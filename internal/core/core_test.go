@@ -151,44 +151,52 @@ func TestRefillAcrossSpans(t *testing.T) {
 }
 
 // TestRefillAllocationFree pins the refill slow path's zero-Go-allocation
-// property in steady state: detaching a partially full span, filing it in
-// its occupancy bin, picking another from the bin and attaching it —
+// property in steady state: releasing the attached spans, filing them in
+// their occupancy bins, gathering spans from the bins and attaching them —
 // shuffle vector, owner sink publication and bin bookkeeping included —
-// must allocate nothing on the Go heap.
+// must allocate nothing on the Go heap. Both classes gather several
+// half-full spans per refill, so the attached list must be sized once.
 func TestRefillAllocationFree(t *testing.T) {
-	_, th := testHeap(t, nil)
-	class := mustClass(t, 64)
-	count := sizeclass.ObjectCount(class)
-	// Fill eight spans, then free every other object: the detached spans
-	// become half full and sit in the bins, and the attached one keeps
-	// half its slots in the shuffle vector.
-	addrs := make([]uint64, 0, 8*count)
-	for i := 0; i < 8*count; i++ {
-		a, err := th.Malloc(64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs = append(addrs, a)
-	}
-	for i := 0; i < len(addrs); i += 2 {
-		if err := th.Free(addrs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	refill := func() {
-		for i := 0; i < 10; i++ {
-			if err := th.refill(class); err != nil {
-				t.Fatal(err)
+	for _, size := range []int{64, 512} {
+		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
+			_, th := testHeap(t, nil)
+			class := mustClass(t, size)
+			count := sizeclass.ObjectCount(class)
+			// Fill eight spans, then free every other object: the detached
+			// spans become half full and sit in the bins, and the attached
+			// one keeps half its slots in the shuffle vector.
+			addrs := make([]uint64, 0, 8*count)
+			for i := 0; i < 8*count; i++ {
+				a, err := th.Malloc(size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				addrs = append(addrs, a)
 			}
-		}
-	}
-	refill() // warm up: the bins' slices reach their steady capacity
-	before := th.Refills()
-	if avg := testing.AllocsPerRun(100, refill); avg != 0 {
-		t.Fatalf("steady-state refills allocate %.1f objects per 10 refills, want 0", avg)
-	}
-	if th.Refills()-before < 1000 {
-		t.Fatalf("measured loop ran %d refills, want at least 1000", th.Refills()-before)
+			for i := 0; i < len(addrs); i += 2 {
+				if err := th.Free(addrs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			refill := func() {
+				for i := 0; i < 10; i++ {
+					if err := th.refill(class); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			refill() // warm up: the bins' slices reach their steady capacity
+			if n := len(th.attached[class]); n < 2 {
+				t.Fatalf("a refill gathered %d spans, want several", n)
+			}
+			before := th.Refills()
+			if avg := testing.AllocsPerRun(100, refill); avg != 0 {
+				t.Fatalf("steady-state refills allocate %.1f objects per 10 refills, want 0", avg)
+			}
+			if th.Refills()-before < 1000 {
+				t.Fatalf("measured loop ran %d refills, want at least 1000", th.Refills()-before)
+			}
+		})
 	}
 }
 

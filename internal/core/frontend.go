@@ -50,13 +50,13 @@ func (t *ThreadHeap) MallocClassBatch(class, n int, out []uint64) ([]uint64, err
 				return out[:start], err
 			}
 		}
-		off, _ := sv.Malloc()
-		mh := t.attached[class]
+		span, off, _ := sv.Malloc()
+		mh := t.attached[class][span]
 		if mh.Hardened() {
 			// The fill boundary is where hardened magazines pay their
 			// checks: poison verified and canary armed per object, exactly
 			// as a scalar Malloc would.
-			if err := t.hardenAlloc(class, mh, off); err != nil {
+			if err := t.hardenAlloc(class, span, mh, off); err != nil {
 				flush()
 				_ = t.FreeBatch(out[start:])
 				return out[:start], err

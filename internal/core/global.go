@@ -1,6 +1,10 @@
 // Package core implements the Mesh allocator proper: the global heap
 // (§4.4), thread-local heaps (§4.3), and the meshing engine that ties the
-// SplitMesher algorithm to the virtual-memory substrate (§4.5).
+// SplitMesher algorithm to the virtual-memory substrate (§4.5). A thread
+// heap attaches several spans per size class at once: each refill gathers
+// spans from the fullest occupancy bins until their free slots match a
+// fresh span's (GlobalHeap.attachSpans), and one shuffle vector serves
+// them all.
 package core
 
 import (
@@ -639,31 +643,61 @@ func (g *GlobalHeap) ShardAcquires() uint64 {
 	return n
 }
 
-// AllocMiniheap selects a MiniHeap for a thread-local heap to attach
-// (§3.1): the fullest non-empty occupancy bin is located with one bit scan
-// of the shard's non-empty mask and a span chosen from it uniformly at
-// random; if no partially full span exists, a fresh span is committed.
-// Only the requested class's shard lock is taken.
-func (g *GlobalHeap) AllocMiniheap(class int) (*miniheap.MiniHeap, error) {
+// maxGather returns the most spans one refill of class can attach (see
+// attachSpans): every binned span brings at least one free slot toward
+// the goal of ObjectCount(class) slots, and the spans' slot counts may not
+// sum past MaxObjectCount, the shuffle vector's capacity.
+func maxGather(class int) int {
+	n := sizeclass.ObjectCount(class)
+	return min(n, sizeclass.MaxObjectCount/n)
+}
+
+// attachSpans selects the spans a thread heap's refill attaches for class
+// (§3.1, §4.2–4.3) and returns them in dst's backing array. Under one hold
+// of the class's shard lock it takes spans from the fullest non-empty
+// occupancy bins — the fullest bin located with one bit scan of the
+// shard's non-empty mask, a span chosen from it uniformly at random — and
+// stops at whichever limit it reaches first:
+//
+//   - the spans' free slots reach ObjectCount(class), what a fresh span
+//     would give;
+//   - one more span would push the spans' summed slot count past
+//     MaxObjectCount, the shuffle vector's capacity;
+//   - the bins run dry.
+//
+// Classes of 256 B and up hold 8–16 objects per span, so a 75–99% full
+// span alone would restock the vector with 1–3 slots. Only when the bins
+// held no span at all is a fresh span committed: one bins check decides
+// both cases. Sizing dst for maxGather(class) spans keeps a refill free
+// of Go allocations.
+func (g *GlobalHeap) attachSpans(class int, dst []*miniheap.MiniHeap) ([]*miniheap.MiniHeap, error) {
+	dst = dst[:0]
 	cs := &g.classes[class]
+	goal, limit := sizeclass.ObjectCount(class), maxGather(class)
+	free := 0
 	cs.lock()
-	if cs.nonEmpty != 0 {
+	for cs.nonEmpty != 0 && free < goal && len(dst) < limit {
 		b := bits.TrailingZeros32(cs.nonEmpty)
 		mh := cs.bins[b].pick(cs.rnd)
 		cs.binRemove(b, mh)
 		// Attach under the lock so a concurrent global free cannot observe
 		// a detached MiniHeap that is in no bin and re-file it.
 		mh.Attach()
-		cs.unlock()
-		return mh, nil
+		dst = append(dst, mh)
+		// Frees only clear bits while the span is attached, so the
+		// refill's reserve finds at least this many.
+		free += goal - mh.InUse()
 	}
 	cs.unlock()
+	if len(dst) > 0 {
+		return dst, nil
+	}
 
 	// No partially full span: demand a new one from the arena.
 	pages := sizeclass.SpanPages(class)
 	vbase, phys, _, err := g.allocSpanPressured(pages)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	mh := miniheap.New(class, vbase, phys)
 	if g.harden.Enabled() {
@@ -682,7 +716,7 @@ func (g *GlobalHeap) AllocMiniheap(class int) (*miniheap.MiniHeap, error) {
 	cs.lock()
 	cs.reg.add(mh)
 	cs.unlock()
-	return mh, nil
+	return append(dst, mh), nil
 }
 
 // allocSpanPressured obtains a span from the arena, applying the OOM
@@ -734,19 +768,28 @@ func (g *GlobalHeap) OOMBackpressure() bool { return g.oomBackpressure.Load() }
 // backpressure ladder recovered (stats.oom.recoveries).
 func (g *GlobalHeap) OOMRecoveries() uint64 { return g.oomRecoveries.Load() }
 
-// ReleaseMiniheap returns a detached MiniHeap to the global heap: empty
-// spans are destroyed and their memory released; partially full spans are
-// binned by occupancy; full spans wait aside until a free makes them
-// useful again.
-func (g *GlobalHeap) ReleaseMiniheap(mh *miniheap.MiniHeap) error {
-	cs := &g.classes[mh.SizeClass()]
+// releaseSpans returns a thread heap's spans of one class to the global
+// heap under one hold of the class's shard lock: empty spans are destroyed
+// and their memory released; partially full spans are binned by
+// occupancy; full spans wait aside until a free makes them useful again.
+// The caller has withdrawn each span's owner sink and returned its
+// reserved slots to the bitmap. A span that fails to release does not
+// stop the others; the first error is returned.
+func (g *GlobalHeap) releaseSpans(spans []*miniheap.MiniHeap) error {
+	cs := &g.classes[spans[0].SizeClass()]
 	cs.lock()
 	defer cs.unlock()
-	// Detach under the lock: a concurrent global free must never observe a
-	// MiniHeap that is detached but not yet filed in a bin, or it would
-	// file it twice.
-	mh.Detach()
-	return g.placeDetachedLocked(cs, mh)
+	var err error
+	for _, mh := range spans {
+		// Detach under the lock: a concurrent global free must never
+		// observe a MiniHeap that is detached but not yet filed in a bin,
+		// or it would file it twice.
+		mh.Detach()
+		if perr := g.placeDetachedLocked(cs, mh); perr != nil && err == nil {
+			err = perr
+		}
+	}
+	return err
 }
 
 // placeDetachedLocked files a detached MiniHeap in the right structure, or

@@ -28,8 +28,10 @@ import (
 // Who may retire what:
 //
 //   - The owning thread retires its own attached span (retireAttached):
-//     it withdraws the owner sink and the shuffle vector first, so no
-//     stale fast-path handle survives.
+//     it withdraws the owner sinks and the shuffle vector's reservations
+//     of every span attached for the class first, so no stale fast-path
+//     handle survives, retires the corrupt span, and returns the class's
+//     other spans to the bins.
 //   - Shard-locked paths retire detached, unpinned spans in place
 //     (retireLocked). A violation found on a span that is attached to a
 //     live heap or pinned mid-mesh is reported (counted, traced, typed
@@ -156,17 +158,18 @@ func poisonSlot(data []byte, objSize, off int) {
 // poison fill survived since the slot was freed (or minted), then arm the
 // canary and clear the first poison byte — the cleared byte is what lets
 // a later free distinguish "freed again" (fully poisoned) from "freshly
-// allocated and never written". A poison violation means something wrote
-// through a dangling pointer; the span is retired and the allocation
-// fails typed, so the caller's next attempt refills onto a fresh span.
+// allocated and never written". span is the slot's index in the class's
+// attached list. A poison violation means something wrote through a
+// dangling pointer; the span is retired and the allocation fails typed,
+// so the caller's next attempt refills onto other spans.
 //
 // The body is poisonOK fused with the canary arming — one base
 // computation, no second pass, no non-inlined helper calls — because this
 // runs on every hardened allocation.
 //
 //mesh:lockfree
-func (t *ThreadHeap) hardenAlloc(class int, mh *miniheap.MiniHeap, off int) error {
-	data := t.phys[class]
+func (t *ThreadHeap) hardenAlloc(class, span int, mh *miniheap.MiniHeap, off int) error {
+	data := t.phys[class][span]
 	if data == nil {
 		return nil
 	}
@@ -181,7 +184,7 @@ func (t *ThreadHeap) hardenAlloc(class int, mh *miniheap.MiniHeap, off int) erro
 		if load64(data, base+i) != harden.PoisonWord {
 			g.harden.NoteViolation()
 			g.trHarden.Event(trace.EvHardenViolation, mh.AddrOf(off), uint64(faultinject.SiteHardenPoison)) //mesh:slowpath — violation reporting
-			return t.retireAttached(class, off, mh.AddrOf(off))                                             //mesh:slowpath — corruption containment
+			return t.retireAttached(class, span, off, mh.AddrOf(off))                                       //mesh:slowpath — corruption containment
 		}
 	}
 	t.hardenPasses++
@@ -190,9 +193,10 @@ func (t *ThreadHeap) hardenAlloc(class int, mh *miniheap.MiniHeap, off int) erro
 	return nil
 }
 
-// hardenFreeLocal runs the hardened half of a local free of slot off:
-// canary verification (overflow detection), the probabilistic double-free
-// precheck, and the poison fill. A canary violation retires the span —
+// hardenFreeLocal runs the hardened half of a local free of slot off on the
+// class's attached span at index span: canary verification (overflow
+// detection), the probabilistic double-free precheck, and the poison fill.
+// A canary violation retires the span —
 // this thread owns it, so it is the safe retirer — and surfaces
 // ErrHeapCorruption; a poisoned payload surfaces ErrDoubleFree without
 // touching the shuffle vector, restoring the cross-thread double-free
@@ -204,8 +208,8 @@ func (t *ThreadHeap) hardenAlloc(class int, mh *miniheap.MiniHeap, off int) erro
 // twice — this runs on every hardened free.
 //
 //mesh:lockfree
-func (t *ThreadHeap) hardenFreeLocal(class int, mh *miniheap.MiniHeap, off int, addr uint64) error {
-	data := t.phys[class]
+func (t *ThreadHeap) hardenFreeLocal(class, span int, mh *miniheap.MiniHeap, off int, addr uint64) error {
+	data := t.phys[class][span]
 	if data == nil {
 		return nil
 	}
@@ -225,7 +229,7 @@ func (t *ThreadHeap) hardenFreeLocal(class int, mh *miniheap.MiniHeap, off int, 
 	if load64(data, cbase) != g.harden.Canary(class, off) {
 		g.harden.NoteViolation()
 		g.trHarden.Event(trace.EvHardenViolation, mh.AddrOf(off), uint64(faultinject.SiteHardenCanary)) //mesh:slowpath — violation reporting
-		return t.retireAttached(class, -1, addr)                                                        //mesh:slowpath — corruption containment
+		return t.retireAttached(class, span, -1, addr)                                                  //mesh:slowpath — corruption containment
 	}
 	t.hardenPasses++
 	n := harden.PoisonLen(objSize)
@@ -262,23 +266,29 @@ func (t *ThreadHeap) allocClassFor(size int) (int, bool) {
 }
 
 // retireAttached contains corruption found on this thread's attached span
-// for class: the owner sink is withdrawn, the shuffle vector's reserved
-// slots are returned to the bitmap (they are not live objects and must not
-// count as lost), the fast-path handles are cleared, and the span is
-// detached and retired under its shard lock. clearOff, when >= 0, is a
-// slot the caller had reserved but never handed out — its bit is returned
-// too. The typed error names the object that tripped the check.
-func (t *ThreadHeap) retireAttached(class int, clearOff int, addr uint64) error {
-	mh := t.attached[class]
-	mh.SetOwner(nil)
+// at index span of class. Every span attached for the class is detached
+// (detachClass): owner sinks withdrawn, the shuffle vector's reserved
+// slots returned to their bitmaps (they are not live objects and must not
+// count as lost), fast-path handles cleared. The corrupt span is then
+// retired under its shard lock and the class's other spans go back to the
+// bins, so the next malloc refills. clearOff, when >= 0, is a slot of the
+// corrupt span the caller had reserved but never handed out — its bit is
+// returned too. The typed error names the object that tripped the check.
+func (t *ThreadHeap) retireAttached(class, span int, clearOff int, addr uint64) error {
+	spans := t.detachClass(class)
+	mh := spans[span]
 	if clearOff >= 0 {
 		mh.Bitmap().Unset(clearOff)
 	}
-	t.svs[class].DrainTo(mh.Bitmap())
-	t.attached[class] = nil
-	t.phys[class] = nil
 	t.global.retireDetached(mh)
-	return fmt.Errorf("%w: span %#x, object %#x", ErrHeapCorruption, mh.SpanStart(), addr)
+	last := len(spans) - 1
+	spans[span] = spans[last]
+	var err error
+	if last > 0 {
+		err = t.global.releaseSpans(spans[:last])
+	}
+	clear(spans)
+	return errors.Join(fmt.Errorf("%w: span %#x, object %#x", ErrHeapCorruption, mh.SpanStart(), addr), err)
 }
 
 // retireDetached detaches and retires a span under its shard lock — the
@@ -463,26 +473,27 @@ func (g *GlobalHeap) auditSpanLocked(cs *classState, mh *miniheap.MiniHeap) bool
 // lost at retirement after its free was accounted at enqueue, so the
 // object is given back on both gauges, and the segment's remaining
 // entries settle by address like any stale entry.
-func (t *ThreadHeap) drainHardened(c int, mh *miniheap.MiniHeap, s *remoteSeg, cnt int, reached *bool) int {
+func (t *ThreadHeap) drainHardened(mh *miniheap.MiniHeap, s *remoteSeg, cnt int, reached *bool) int {
 	g := t.global
 	settled := cnt
 	quarOn := g.harden.QuarantineEnabled()
+	c, span := mh.SizeClass(), mh.OwnerIndex()
 	for i := 0; i < cnt; i++ {
 		off := int(s.offs[i])
 		addr := mh.AddrOf(off)
-		if t.attached[c] != mh {
+		if !mh.OwnedBy(&t.sink) {
 			if !t.settleStale(mh, addr, reached) {
 				settled--
 			}
 			continue
 		}
-		herr := t.hardenFreeLocal(c, mh, off, addr)
+		herr := t.hardenFreeLocal(c, span, mh, off, addr)
 		switch {
 		case herr == nil:
 			if quarOn {
 				t.quarPark(addr, true)
 			} else {
-				t.svs[c].Free(off)
+				t.svs[c].Free(span, off)
 			}
 		case errors.Is(herr, ErrDoubleFree):
 			g.noteRemoteUnqueued(int64(mh.ObjectSize()), 1)
@@ -503,18 +514,18 @@ func (t *ThreadHeap) drainHardened(c int, mh *miniheap.MiniHeap, s *remoteSeg, c
 // (non-local address, unhardened span, or no physical window).
 func (t *ThreadHeap) quarantineLocal(addr uint64) (handled bool, err error) {
 	mh := t.global.arena.Lookup(addr)
-	if mh == nil || mh.IsLarge() || !mh.Hardened() {
+	if mh == nil || !mh.Hardened() || !mh.OwnedBy(&t.sink) {
 		return false, nil
 	}
-	c := mh.SizeClass()
-	if t.attached[c] != mh || t.phys[c] == nil {
+	c, span := mh.SizeClass(), mh.OwnerIndex()
+	if t.phys[c][span] == nil {
 		return false, nil
 	}
 	off, oerr := mh.OffsetOf(addr)
 	if oerr != nil {
 		return true, oerr
 	}
-	if herr := t.hardenFreeLocal(c, mh, off, addr); herr != nil {
+	if herr := t.hardenFreeLocal(c, span, mh, off, addr); herr != nil {
 		return true, herr
 	}
 	t.quarPark(addr, false)
@@ -551,16 +562,13 @@ func (t *ThreadHeap) settleQuarantined(entry uint64) {
 	g := t.global
 	g.harden.NoteUnquarantined(1)
 	mh := g.arena.Lookup(addr)
-	if mh != nil && !mh.IsLarge() && !mh.IsRetired() {
-		c := mh.SizeClass()
-		if t.attached[c] == mh {
-			if off, err := mh.OffsetOf(addr); err == nil {
-				t.svs[c].Free(off)
-				if !pre {
-					g.noteLocalFree(mh.ObjectSize())
-				}
-				return
+	if mh != nil && !mh.IsRetired() && mh.OwnedBy(&t.sink) {
+		if off, err := mh.OffsetOf(addr); err == nil {
+			t.svs[mh.SizeClass()].Free(mh.OwnerIndex(), off)
+			if !pre {
+				g.noteLocalFree(mh.ObjectSize())
 			}
+			return
 		}
 	}
 	if pre {

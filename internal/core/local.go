@@ -13,17 +13,19 @@ import (
 )
 
 // ThreadHeap is a thread-local heap (§4.3): one shuffle vector per size
-// class, a reference to the global heap, and a thread-local RNG. All malloc
-// and free requests start here, and the common case — a shuffle-vector hit
-// — takes no lock and does not touch the span's bitmap (slots are reserved
-// in bulk at attach). It is not free of atomics, though. A small malloc
-// pays one load of the hardening plane's routing flag, one load of the
-// span's published virtual-span list (AddrOf), one load of the flight
-// recorder's enable flag, and two adds on heap-global counters (live bytes
-// and allocations). A local free pays one load of the quarantine flag,
-// arena.Lookup's two page-map loads and one add on a striped lookup
-// counter, one virtual-span-list load (OffsetOf), the recorder's enable
-// load, and two heap-global adds (live bytes and frees).
+// class over the spans attached for that class, a reference to the global
+// heap, and a thread-local RNG. All malloc and free requests start here,
+// and the common case — a shuffle-vector hit — takes no lock and does not
+// touch the span's bitmap (slots are reserved in bulk at attach). It is not
+// free of atomics, though. A small malloc pays one load of the hardening
+// plane's routing flag, one load of the span's published virtual-span list
+// (AddrOf), one load of the flight recorder's enable flag, and two adds on
+// heap-global counters (live bytes and allocations). A local free pays one
+// load of the quarantine flag, arena.Lookup's two page-map loads and one
+// add on a striped lookup counter, one load of the span's owner sink (the
+// span is local when the sink is this heap's), one virtual-span-list load
+// (OffsetOf), the recorder's enable load, and two heap-global adds (live
+// bytes and frees).
 //
 // Go has no hookable thread-local storage, so applications (and the
 // workload harness) hold one ThreadHeap per worker goroutine explicitly,
@@ -33,10 +35,15 @@ import (
 // pool's lock-free free-list provides that edge). The refill counter is
 // atomic so Refills can be read while the heap sits idle in a pool.
 type ThreadHeap struct {
-	global   *GlobalHeap
-	rnd      *rng.RNG
-	svs      [sizeclass.NumClasses]*shufflevec.Vector
-	attached [sizeclass.NumClasses]*miniheap.MiniHeap
+	global *GlobalHeap
+	rnd    *rng.RNG
+	svs    [sizeclass.NumClasses]*shufflevec.Vector
+	// attached[c] lists the spans attached for class c. A span's index in
+	// it is the span half of its shuffle-vector entries and the index it
+	// publishes with its owner sink (miniheap.SetOwner). The list is sized
+	// once, at the class's first refill, for the most spans a refill can
+	// gather (maxGather), so refills append without allocating.
+	attached [sizeclass.NumClasses][]*miniheap.MiniHeap
 
 	// scratch and ownerScratch back FreeBatch's non-local partition
 	// between calls so the batch path stays allocation free: addresses and
@@ -57,13 +64,13 @@ type ThreadHeap struct {
 	remote remoteQueue
 	sink   miniheap.RemoteSink
 
-	// phys caches each attached hardened span's physical byte window (nil
-	// for unhardened spans), so the fast-path canary/poison work needs no
-	// VM translation — PhysSlice takes the mapping mutex, which the
-	// lock-free paths must not. Refill populates it; retirement and
-	// release clear it. quar is the delayed-reuse quarantine ring hardened
-	// frees park in when harden.quarantine is on (see harden.go).
-	phys [sizeclass.NumClasses][]byte
+	// phys[c][i] caches the physical byte window of attached[c][i] when
+	// that span is hardened (nil otherwise), so the fast-path canary/poison
+	// work needs no VM translation — PhysSlice takes the mapping mutex,
+	// which the lock-free paths must not. Refill populates it; retirement
+	// and release clear it. quar is the delayed-reuse quarantine ring
+	// hardened frees park in when harden.quarantine is on (see harden.go).
+	phys [sizeclass.NumClasses][][]byte
 	quar harden.Ring
 
 	// hardenPasses batches this thread's clean canary/poison verifications
@@ -110,49 +117,83 @@ func (t *ThreadHeap) Malloc(size int) (uint64, error) {
 }
 
 // refill restocks an exhausted shuffle vector (§3.1). It first drains the
-// remote-free queue: frees posted by other threads for the still-attached
-// span land straight back on the vector, so a producer–consumer pipeline
-// recycles the same span without ever detaching it — the malloc-slow-path
-// drain point of the message-passing free protocol. Only if the vector is
-// still exhausted is the old span relinquished (owner sink withdrawn
-// first, unused reserved slots returned to the bitmap) and a partially
-// full or fresh span attached in its place.
+// remote-free queue: frees posted by other threads for still-attached
+// spans land straight back on the vector, so a producer–consumer pipeline
+// recycles the same spans without ever detaching them — the
+// malloc-slow-path drain point of the message-passing free protocol. Only
+// if the vector is still exhausted are the class's spans relinquished
+// (releaseClass) and replaced: attachSpans gathers several partially full
+// spans, or commits a fresh one, and the vector reserves every free slot
+// of each and is shuffled as a whole.
 func (t *ThreadHeap) refill(class int) error {
 	t.flushHardenPasses()
 	sv := t.svs[class]
 	if t.DrainRemoteFrees() > 0 && !sv.IsExhausted() {
 		return nil
 	}
-	if old := t.attached[class]; old != nil {
-		// Withdraw the owner sink before detaching: a push that already
-		// loaded it either lands before our next drain (settled there) or
-		// is parked for the drain-by-address fallback — never lost.
-		old.SetOwner(nil)
-		sv.DrainTo(old.Bitmap())
-		t.attached[class] = nil
-		t.phys[class] = nil
-		if err := t.global.ReleaseMiniheap(old); err != nil {
-			return err
-		}
+	if err := t.releaseClass(class); err != nil {
+		return err
 	}
-	mh, err := t.global.AllocMiniheap(class)
+	if t.phys[class] == nil {
+		n := maxGather(class)
+		t.attached[class] = make([]*miniheap.MiniHeap, 0, n)
+		t.phys[class] = make([][]byte, n)
+	}
+	spans, err := t.global.attachSpans(class, t.attached[class])
 	if err != nil {
 		return err
 	}
-	t.attached[class] = mh
-	// Cache the hardened span's physical window once per attachment: the
-	// fast-path checks must not pay the VM translation (or its mutex) per
-	// operation. Attached spans are never meshed, so the window is stable
-	// until this thread detaches the span.
-	t.phys[class] = nil
-	if mh.Hardened() {
-		t.phys[class] = t.global.physWindow(mh)
+	t.attached[class] = spans
+	for i, mh := range spans {
+		// Cache each hardened span's physical window once per attachment:
+		// the fast-path checks must not pay the VM translation (or its
+		// mutex) per operation. Attached spans are never meshed, so the
+		// window is stable until this thread detaches the span.
+		var window []byte
+		if mh.Hardened() {
+			window = t.global.physWindow(mh)
+		}
+		t.phys[class][i] = window
+		sv.Reserve(i, mh.Bitmap())
 	}
-	sv.Attach(mh.Bitmap())
+	sv.Shuffle()
 	t.remote.reopen()
-	mh.SetOwner(&t.sink)
+	for i, mh := range spans {
+		mh.SetOwner(&t.sink, i)
+	}
 	t.refills.Add(1)
 	return nil
+}
+
+// detachClass withdraws every attached span of class from this heap: each
+// owner sink is withdrawn first — a push that already loaded it either
+// lands before our next drain (settled there) or is parked for the
+// drain-by-address fallback, never lost — then the span's reserved slots
+// go back to its bitmap and its fast-path handles are cleared. It returns
+// the spans for the caller to hand to the global heap; the slice aliases
+// the class's attached list, so the caller clears it once done.
+func (t *ThreadHeap) detachClass(class int) []*miniheap.MiniHeap {
+	spans := t.attached[class]
+	sv := t.svs[class]
+	for i, mh := range spans {
+		mh.SetOwner(nil, 0)
+		sv.DrainTo(i, mh.Bitmap())
+		t.phys[class][i] = nil
+	}
+	t.attached[class] = spans[:0]
+	return spans
+}
+
+// releaseClass returns every attached span of class to the global heap,
+// all under one shard-lock hold.
+func (t *ThreadHeap) releaseClass(class int) error {
+	spans := t.detachClass(class)
+	if len(spans) == 0 {
+		return nil
+	}
+	err := t.global.releaseSpans(spans)
+	clear(spans) // don't pin released MiniHeaps until the next refill
+	return err
 }
 
 // Free releases the object at addr. Frees of objects in one of this
@@ -193,35 +234,32 @@ func (t *ThreadHeap) Free(addr uint64) error {
 // interior or out-of-range pointer inside an attached span.
 //
 // The owner is resolved through the arena's lock-free page map — two
-// atomic loads — instead of probing all NumClasses attached slots (and
-// every virtual span of each) per free. The O(1) lookup matters most on
-// misses: every non-local free used to pay the full scan before falling
-// through to the global heap. The result is trustworthy without a lock:
-// if it names one of our attached MiniHeaps, that MiniHeap cannot change
-// under us (only this thread refills or detaches it, and attached spans
-// are never meshed); any other result routes to the global path, which
-// re-resolves under the owning shard lock.
+// atomic loads — and recognised as local by its published owner sink —
+// one more — instead of probing every attached span (and every virtual
+// span of each) per free. The result is trustworthy without a lock: if the
+// sink is ours, that MiniHeap cannot change under us (only this thread
+// refills or detaches it, and attached spans are never meshed), and the
+// index it published names its place in our attached list; any other
+// result routes to the global path, which re-resolves under the owning
+// shard lock. Large spans never publish a sink.
 //
 //mesh:lockfree
 func (t *ThreadHeap) freeLocal(addr uint64) (objSize int, ok bool, owner *miniheap.MiniHeap, err error) {
 	mh := t.global.arena.Lookup(addr)
-	if mh == nil || mh.IsLarge() {
+	if mh == nil || !mh.OwnedBy(&t.sink) {
 		return 0, false, mh, nil
 	}
-	c := mh.SizeClass()
-	if t.attached[c] != mh {
-		return 0, false, mh, nil
-	}
+	c, i := mh.SizeClass(), mh.OwnerIndex()
 	off, err := mh.OffsetOf(addr)
 	if err != nil {
 		return 0, false, mh, err
 	}
 	if mh.Hardened() {
-		if herr := t.hardenFreeLocal(c, mh, off, addr); herr != nil {
+		if herr := t.hardenFreeLocal(c, i, mh, off, addr); herr != nil {
 			return 0, false, mh, herr
 		}
 	}
-	t.svs[c].Free(off)
+	t.svs[c].Free(i, off)
 	return mh.ObjectSize(), true, mh, nil
 }
 
@@ -242,16 +280,7 @@ func (t *ThreadHeap) Done() error {
 	// on the cheap attached path.
 	t.drainQuarantine()
 	for c := range t.attached {
-		if t.attached[c] == nil {
-			continue
-		}
-		mh := t.attached[c]
-		mh.SetOwner(nil)
-		sv := t.svs[c]
-		sv.DrainTo(mh.Bitmap())
-		t.attached[c] = nil
-		t.phys[c] = nil
-		if err := t.global.ReleaseMiniheap(mh); err != nil {
+		if err := t.releaseClass(c); err != nil {
 			return err
 		}
 	}
@@ -269,7 +298,7 @@ func (t *ThreadHeap) flushHardenPasses() {
 	}
 }
 
-// Refills reports how many spans the heap has attached to restock an
-// exhausted shuffle vector. Safe to call while the heap is parked in a
-// pool.
+// Refills reports how many times the heap has attached spans to restock
+// an exhausted shuffle vector (one refill may gather several spans). Safe
+// to call while the heap is parked in a pool.
 func (t *ThreadHeap) Refills() uint64 { return t.refills.Load() }

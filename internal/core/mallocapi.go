@@ -117,14 +117,14 @@ func (t *ThreadHeap) mallocFromClass(class int) (uint64, error) {
 			return 0, err
 		}
 	}
-	off, _ := sv.Malloc()
-	mh := t.attached[class]
+	span, off, _ := sv.Malloc()
+	mh := t.attached[class][span]
 	if mh.Hardened() {
 		// Verify the slot's poison fill survived and arm its canary. On
 		// violation the span is retired (the reserved slot returned first)
 		// and the allocation fails typed; the caller's next attempt refills
-		// onto a fresh span.
-		if err := t.hardenAlloc(class, mh, off); err != nil {
+		// onto other spans.
+		if err := t.hardenAlloc(class, span, mh, off); err != nil {
 			return 0, err
 		}
 	}

@@ -321,7 +321,7 @@ func TestCheckIntegrityCatchesSlotCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	class := mustClass(t, 64)
-	attached := th.attached[class]
+	attached := th.attached[class][0]
 	var binned *miniheap.MiniHeap
 	var bin int
 	for c := range g.classes {

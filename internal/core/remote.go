@@ -246,24 +246,25 @@ func (t *ThreadHeap) drainRemote(segs *remoteSeg) int {
 		}
 		cnt := int(r)
 		mh := s.mh
-		c := mh.SizeClass()
-		if t.attached[c] == mh {
+		if mh.OwnedBy(&t.sink) {
 			if mh.Hardened() {
 				// Hardened spans run the full free protocol per entry —
 				// canary, double-free precheck, poison, quarantine — with
 				// dropped duplicates excluded from the drained count
 				// (drainHardened).
-				n += t.drainHardened(c, mh, s, cnt, &reached)
+				n += t.drainHardened(mh, s, cnt, &reached)
 				t.remote.pending.Add(int64(-cnt))
 				continue
 			}
 			// Attached to us: the slots go straight back onto the shuffle
 			// vector, exactly like local frees (accounting happened at
-			// enqueue). Attached spans are never meshed, so mh's geometry
-			// is stable under our feet.
-			sv := t.svs[c]
+			// enqueue), under the span's current index — which may differ
+			// from the one it had when the entry was pushed, if the span
+			// was released and gathered again since. Attached spans are
+			// never meshed, so mh's geometry is stable under our feet.
+			sv, span := t.svs[mh.SizeClass()], mh.OwnerIndex()
 			for i := 0; i < cnt; i++ {
-				sv.Free(int(s.offs[i]))
+				sv.Free(span, int(s.offs[i]))
 			}
 		} else {
 			// The span moved on since the push (we refilled past it, or

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/miniheap"
 	"repro/internal/sizeclass"
 )
 
@@ -305,6 +306,145 @@ func TestRemoteStressPushVsDetach(t *testing.T) {
 	}
 	if st.Live != 0 {
 		t.Fatalf("live = %d after full drain (lost free)", st.Live)
+	}
+	if st.Remote.Queued != st.Remote.Drained {
+		t.Fatalf("queued %d != drained %d at quiescence", st.Remote.Queued, st.Remote.Drained)
+	}
+	if err := g.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRemoteStressGatheredSpans is the queue litmus stress for an owner
+// whose refills gather several spans of one class. Pushers free objects
+// on every span the owner has attached while the owner drains, refills and
+// calls Done. Each refill releases the class's spans and gathers again, so
+// a span with frees still queued is often re-attached at a different index
+// of the attached list, and the drain must settle those entries under the
+// index the span holds now. A concurrent mesher churns the detached spans.
+// At quiescence the accounting is exact: allocs == frees, queued ==
+// drained, nothing live and no invalid free. Run with -race to check the
+// memory-model side.
+func TestRemoteStressGatheredSpans(t *testing.T) {
+	g, owner := testHeap(t, nil)
+
+	const (
+		pushers  = 4
+		rounds   = 300
+		batchLen = 16
+		size     = 512
+	)
+	class := mustClass(t, size)
+	// Six of each span's eight slots stay live until the end, so the bins
+	// hold only nearly full spans and every refill gathers several.
+	_, keep := detachedSpans(t, g, class, 32, 2)
+
+	ring := make(chan []uint64, 2*pushers)
+	var pusherWG sync.WaitGroup
+	errc := make(chan error, pushers)
+	for p := 0; p < pushers; p++ {
+		pusherWG.Add(1)
+		go func(p int) {
+			defer pusherWG.Done()
+			th := NewThreadHeap(g, uint64(100+p))
+			for batch := range ring {
+				for _, a := range batch {
+					if err := th.Free(a); err != nil {
+						errc <- err
+						return
+					}
+				}
+			}
+			if err := th.Done(); err != nil {
+				errc <- err
+			}
+		}(p)
+	}
+	stopMesh := make(chan struct{})
+	var meshWG sync.WaitGroup
+	meshWG.Add(1)
+	go func() {
+		defer meshWG.Done()
+		for {
+			select {
+			case <-stopMesh:
+				return
+			default:
+				g.Mesh()
+			}
+		}
+	}()
+
+	// index records the attached-list index each span last held, to count
+	// spans re-attached at a different one.
+	index := map[*miniheap.MiniHeap]int{}
+	gathers, moves := 0, 0
+	refills := owner.Refills()
+	for r := 0; r < rounds; r++ {
+		batch := make([]uint64, 0, batchLen)
+		for i := 0; i < batchLen; i++ {
+			a, err := owner.Malloc(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch = append(batch, a)
+			if n := owner.Refills(); n != refills {
+				refills = n
+				spans := owner.attached[class]
+				if len(spans) > 1 {
+					gathers++
+				}
+				for k, mh := range spans {
+					if j, ok := index[mh]; ok && j != k {
+						moves++
+					}
+					index[mh] = k
+				}
+			}
+		}
+		ring <- batch
+		switch r % 8 {
+		case 3:
+			owner.DrainRemoteFrees()
+		case 7:
+			if err := owner.Done(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(ring)
+	pusherWG.Wait()
+	close(stopMesh)
+	meshWG.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	for _, addrs := range keep {
+		for _, a := range addrs {
+			if err := owner.Free(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := owner.Done(); err != nil {
+		t.Fatal(err)
+	}
+	g.Mesh()
+
+	if gathers == 0 || moves == 0 {
+		t.Fatalf("%d refills gathered several spans and %d spans moved index; the stress needs both", gathers, moves)
+	}
+	t.Logf("%d refills gathered several spans; %d re-attachments moved a span's index", gathers, moves)
+	st := g.Stats()
+	if st.Remote.Queued == 0 {
+		t.Fatal("no free was queued: the stress never reached the remote queue")
+	}
+	if st.InvalidFree != 0 {
+		t.Fatalf("%d invalid/double frees under clean traffic (entry settled on the wrong span?)", st.InvalidFree)
+	}
+	if st.Allocs != st.Frees || st.Live != 0 {
+		t.Fatalf("allocs %d, frees %d, live %d at quiescence (lost free?)", st.Allocs, st.Frees, st.Live)
 	}
 	if st.Remote.Queued != st.Remote.Drained {
 		t.Fatalf("queued %d != drained %d at quiescence", st.Remote.Queued, st.Remote.Drained)

@@ -76,8 +76,12 @@ type MiniHeap struct {
 	// owner is the remote-free sink of the thread heap this MiniHeap is
 	// attached to, atomically published on attach and cleared before
 	// detach. A nil owner routes cross-thread frees to the global heap's
-	// locked path.
+	// locked path; the owner itself recognises its spans by it.
 	owner atomic.Pointer[RemoteSink]
+	// ownerIdx is the span's index in its owner's attached list for the
+	// class. Plain: written by SetOwner before the sink is published, and
+	// read only by the owner once OwnedBy has confirmed it.
+	ownerIdx int
 
 	attached atomic.Bool
 	pinned   atomic.Bool
@@ -246,12 +250,31 @@ func (m *MiniHeap) AbsorbSpans(src *MiniHeap) {
 func (m *MiniHeap) MeshCount() int { return len(*m.spans.Load()) }
 
 // SetOwner publishes (or, with nil, withdraws) the remote-free sink of the
-// thread heap this MiniHeap is attached to. The owning heap stores the sink
-// after attaching and clears it before detaching, so a non-nil load proves
-// the MiniHeap was attached at the moment of the load. The sink comes
-// boxed: the owner keeps one interface value for its lifetime and passes
-// its address, so publishing on every refill allocates nothing.
-func (m *MiniHeap) SetOwner(s *RemoteSink) { m.owner.Store(s) }
+// thread heap this MiniHeap is attached to, together with idx, the span's
+// index in that heap's attached list (ignored on withdrawal). The owning
+// heap stores the sink after attaching and clears it before detaching, so
+// a non-nil load proves the MiniHeap was attached at the moment of the
+// load. The sink comes boxed: the owner keeps one interface value for its
+// lifetime and passes its address, so publishing on every refill
+// allocates nothing.
+func (m *MiniHeap) SetOwner(s *RemoteSink, idx int) {
+	if s != nil {
+		m.ownerIdx = idx
+	}
+	m.owner.Store(s)
+}
+
+// OwnedBy reports whether s is the published owner sink: one atomic load,
+// which is how a thread heap recognises a free on its own attached span.
+//
+//mesh:lockfree
+func (m *MiniHeap) OwnedBy(s *RemoteSink) bool { return m.owner.Load() == s }
+
+// OwnerIndex returns the index SetOwner published with the sink. Only the
+// owner may call it, after OwnedBy has confirmed ownership.
+//
+//mesh:lockfree
+func (m *MiniHeap) OwnerIndex() int { return m.ownerIdx }
 
 // Owner returns the currently published remote-free sink, or nil when the
 // MiniHeap is detached (or its owner does not accept message-passed frees).

@@ -327,7 +327,7 @@ func TestOwnerPublication(t *testing.T) {
 	}
 	sink := &fakeSink{}
 	var box RemoteSink = sink
-	mh.SetOwner(&box)
+	mh.SetOwner(&box, 3)
 	got := mh.Owner()
 	if got == nil {
 		t.Fatal("owner not published")
@@ -335,8 +335,13 @@ func TestOwnerPublication(t *testing.T) {
 	if !got.PushRemote(mh, 0) || sink.pushed != 1 {
 		t.Fatal("published owner is not the sink that was set")
 	}
-	mh.SetOwner(nil)
-	if mh.Owner() != nil {
+	var other RemoteSink = &fakeSink{}
+	if !mh.OwnedBy(&box) || mh.OwnedBy(&other) || mh.OwnerIndex() != 3 {
+		t.Fatalf("OwnedBy(own)=%v OwnedBy(other)=%v index=%d, want true, false, 3",
+			mh.OwnedBy(&box), mh.OwnedBy(&other), mh.OwnerIndex())
+	}
+	mh.SetOwner(nil, 0)
+	if mh.Owner() != nil || mh.OwnedBy(&box) {
 		t.Fatal("owner not withdrawn")
 	}
 }

@@ -28,7 +28,9 @@ const (
 	MinObjectCount = 8
 
 	// MaxObjectCount is the maximum number of objects per span; it bounds
-	// shuffle-vector entries to a single byte (§4.2).
+	// shuffle-vector offsets to a single byte (§4.2). It is also the
+	// capacity of a shuffle vector, which the spans a refill gathers may
+	// not exceed between them.
 	MaxObjectCount = 256
 )
 

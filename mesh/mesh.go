@@ -171,7 +171,7 @@ type Ptr = uint64
 // Allocation errors, re-exported for errors.Is. Invalid and double frees
 // that reach the global heap are detected, counted (Stats.InvalidFree) and
 // reported without corrupting the heap (§4.4.4); frees local to a live
-// thread heap's attached span trust the caller, as the paper's fast path
+// thread heap's attached spans trust the caller, as the paper's fast path
 // does. ErrOutOfMemory is returned by allocation paths when a configured
 // os.memory_limit is exceeded and the backpressure ladder (drain →
 // flush → emergency mesh → retry once) could not recover the request;
