@@ -1,13 +1,18 @@
-// Repository-level benchmarks: one per table/figure of the paper's
-// evaluation (§6) and per analytical validation (§2.2, §5). Each benchmark
-// runs the corresponding experiment end to end at a reduced scale (the
-// full-scale numbers come from `go run ./cmd/meshbench -scale 1 all`) and
-// reports the experiment's headline quantity as a custom metric, so
-// `go test -bench=. -benchmem` regenerates the whole evaluation in
-// miniature.
+// Repository-level benchmarks, in two groups. The first has one benchmark
+// per table/figure of the paper's evaluation (§6) and per analytical
+// validation (§2.2, §5): each runs the corresponding experiment end to end
+// at a reduced scale (the full-scale numbers come from
+// `go run ./cmd/meshbench -scale 1 all`) and reports the experiment's
+// headline quantity as a custom metric, so `go test -bench=. -benchmem`
+// regenerates the whole evaluation in miniature. The second times the
+// public API's hot paths: scalar vs batch, pooled vs Thread, the VM data
+// path, shard-lock contention and remote frees. Their ns/op are for
+// comparing two builds on one machine; CI runs every benchmark once as a
+// smoke test, and end-to-end perf claims come from the benchmark/ module.
 package repro
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -373,6 +378,116 @@ func BenchmarkConcurrentThreads(b *testing.B) {
 	})
 }
 
+// Data-path access kernel geometry: each worker owns dataPathObjs objects
+// of dataPathObjSize bytes and touches dataPathAccessLen bytes per access.
+const (
+	dataPathObjSize   = 8192
+	dataPathAccessLen = 64
+	dataPathObjs      = 8
+)
+
+// dataPathObjects allocates dataPathObjs objects for each of workers
+// goroutines, so no two workers share an object.
+func dataPathObjects(a *mesh.Allocator, workers int) ([][]mesh.Ptr, error) {
+	ptrs := make([][]mesh.Ptr, workers)
+	for w := range ptrs {
+		ptrs[w] = make([]mesh.Ptr, dataPathObjs)
+		for j := range ptrs[w] {
+			p, err := a.Malloc(dataPathObjSize)
+			if err != nil {
+				return nil, err
+			}
+			ptrs[w][j] = p
+		}
+	}
+	return ptrs, nil
+}
+
+// dataPathWorker is the access kernel: ops accesses of the given mode
+// ("read", "write", or "memset") over one worker's objects, at rotating
+// offsets so accesses periodically cross the objects' interior page
+// boundaries. No allocator traffic happens here — the loop isolates
+// pointer translation.
+func dataPathWorker(a *mesh.Allocator, ptrs []mesh.Ptr, mode string, ops int) error {
+	buf := make([]byte, dataPathAccessLen)
+	for i := 0; i < ops; i++ {
+		off := uint64(i*511) % (dataPathObjSize - dataPathAccessLen)
+		p := ptrs[i%len(ptrs)] + off
+		var err error
+		switch mode {
+		case "read":
+			err = a.Read(p, buf)
+		case "write":
+			err = a.Write(p, buf)
+		case "memset":
+			err = a.Memset(p, byte(i), dataPathAccessLen)
+		default:
+			err = fmt.Errorf("datapath: unknown access mode %q", mode)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runDataPath runs dataPathWorker on every worker's objects at once, one
+// goroutine per worker, and returns the first error.
+func runDataPath(a *mesh.Allocator, ptrs [][]mesh.Ptr, mode string, ops int) error {
+	var wg sync.WaitGroup
+	errs := make([]error, len(ptrs))
+	for w := range ptrs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = dataPathWorker(a, ptrs[w], mode, ops)
+		}(w)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// TestDataPathDisjointNoRetries pins the data path's counters under
+// concurrent access: with 8 and 16 goroutines on disjoint objects and no
+// meshing, every access translates at least once (a page-crossing access
+// more), and with no page-table churn the seqlock never retries.
+func TestDataPathDisjointNoRetries(t *testing.T) {
+	readU64 := func(t *testing.T, a *mesh.Allocator, key string) uint64 {
+		t.Helper()
+		v, err := a.ReadControl(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.(uint64)
+	}
+	const totalOps = 64_000
+	for _, workers := range []int{8, 16} {
+		for _, mode := range []string{"read", "write", "memset"} {
+			t.Run(fmt.Sprintf("%s/goroutines=%d", mode, workers), func(t *testing.T) {
+				a := mesh.New(mesh.WithSeed(1), mesh.WithMeshing(false))
+				defer a.Close()
+				ptrs, err := dataPathObjects(a, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr0 := readU64(t, a, "stats.vm.translations")
+				re0 := readU64(t, a, "stats.vm.retries")
+				perWorker := totalOps / workers
+				if err := runDataPath(a, ptrs, mode, perWorker); err != nil {
+					t.Fatal(err)
+				}
+				ops := uint64(perWorker * workers)
+				if tr := readU64(t, a, "stats.vm.translations") - tr0; tr < ops {
+					t.Errorf("%d translations for %d accesses", tr, ops)
+				}
+				if re := readU64(t, a, "stats.vm.retries") - re0; re != 0 {
+					t.Errorf("%d seqlock retries without page-table churn", re)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkDataPathContention measures the cost of the simulated kernel's
 // translation path under concurrent data traffic — the path every object
 // read, write, and memset in every workload traverses. Each worker owns
@@ -381,45 +496,22 @@ func BenchmarkConcurrentThreads(b *testing.B) {
 // happens inside the timed region, so the benchmark isolates pointer
 // translation (§4.5.1: data-path accesses must never synchronize with the
 // allocator). One benchmark op is one 64-byte access, through the same
-// access kernel as `meshbench datapath` (experiments.DataPathWorker), so
-// the CI artifact and local benchmark runs measure the same shape. Before
-// the radix/seqlock rewrite every op took the VM's RWMutex at least once;
-// after it, translation is two atomic loads.
+// kernel (dataPathWorker) whose counters TestDataPathDisjointNoRetries
+// pins. Before the radix/seqlock rewrite every op took the VM's RWMutex at
+// least once; after it, translation is two atomic loads.
 func BenchmarkDataPathContention(b *testing.B) {
 	for _, mode := range []string{"read", "write", "memset"} {
 		for _, gs := range []int{1, 8, 16} {
 			b.Run(fmt.Sprintf("%s/goroutines=%d", mode, gs), func(b *testing.B) {
 				a := mesh.New(mesh.WithSeed(1))
-				ptrs := make([][]mesh.Ptr, gs)
-				for w := range ptrs {
-					ptrs[w] = make([]mesh.Ptr, experiments.DataPathObjs)
-					for j := range ptrs[w] {
-						p, err := a.Malloc(experiments.DataPathObjSize)
-						if err != nil {
-							b.Fatal(err)
-						}
-						ptrs[w][j] = p
-					}
-				}
-				iters := b.N/gs + 1
-				var wg sync.WaitGroup
-				var failed atomic.Bool
-				fail := func(err error) {
-					if failed.CompareAndSwap(false, true) {
-						b.Error(err)
-					}
+				ptrs, err := dataPathObjects(a, gs)
+				if err != nil {
+					b.Fatal(err)
 				}
 				b.ResetTimer()
-				for w := 0; w < gs; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						if err := experiments.DataPathWorker(a, ptrs[w], mode, iters); err != nil {
-							fail(err)
-						}
-					}(w)
+				if err := runDataPath(a, ptrs, mode, b.N/gs+1); err != nil {
+					b.Fatal(err)
 				}
-				wg.Wait()
 				b.StopTimer()
 			})
 		}

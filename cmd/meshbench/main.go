@@ -16,53 +16,37 @@
 //	triangle  triangle scarcity in meshing graphs (§5.2)
 //	ablation  §6.3 randomization ablation table
 //	robson    §1 motivation: OOM survival under a memory budget
-//	conc      concurrent throughput: pooled vs thread heaps, scalar vs batch
 //	pause     inline vs daemon meshing (one engine, two pause budgets): tail stalls and RSS (§4.5)
-//	scale     free/refill throughput vs goroutine count (sharded global heap)
-//	datapath  object read/write/memset throughput vs goroutine count (lock-free VM translation)
 //	chaos     fault-injection stress: every site armed across 4 seeds, exact accounting demanded
 //	chaos-hardened  corruption-injection stress: canary/poison sites armed, violations == injections demanded
 //	all       everything above
 //
 // -scale divides workload sizes (1 = the paper's full parameters; larger
 // values run proportionally smaller and faster). -csv additionally dumps
-// the RSS time series for the figure experiments. -json FILE writes the
-// scale or datapath experiment's result as JSON (the CI perf-trajectory
-// artifacts).
+// the RSS time series for the figure experiments.
+//
+// Throughput and per-layer costs are measured by the end-to-end benchmark
+// (benchmark/, run with `bash benchmark/run.sh`), not here; CI holds its
+// redis-lru counters to bench/counters.json with cmd/countergate.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/stats"
 )
 
 var (
-	scale   = flag.Int("scale", 1, "divide workload sizes by this factor (1 = paper scale)")
-	csvOut  = flag.Bool("csv", false, "also print RSS time series as CSV")
-	jsonOut = flag.String("json", "", "write the scale/datapath experiment's result as JSON to this file")
+	scale  = flag.Int("scale", 1, "divide workload sizes by this factor (1 = paper scale)")
+	csvOut = flag.Bool("csv", false, "also print RSS time series as CSV")
 )
 
 func main() {
-	// "compare" is a subcommand with its own flags, not an experiment:
-	// it diffs fresh -json artifacts against committed baselines and
-	// exits nonzero on regressions (the CI perf gate).
-	if len(os.Args) > 1 && os.Args[1] == "compare" {
-		if err := compareCmd(os.Args[2:]); err != nil {
-			fmt.Fprintf(os.Stderr, "meshbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: meshbench [-scale N] [-csv] [-json FILE] <fig6|fig7|fig8|spec|prob|lemma53|triangle|ablation|robson|conc|pause|scale|datapath|chaos|chaos-hardened|all>\n")
-		fmt.Fprintf(os.Stderr, "       meshbench compare [-baseline DIR] [-threshold PCT] [-counter-threshold PCT] FILE...\n")
+		fmt.Fprintf(os.Stderr, "usage: meshbench [-scale N] [-csv] <fig6|fig7|fig8|spec|prob|lemma53|triangle|ablation|robson|pause|chaos|chaos-hardened|all>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -99,21 +83,14 @@ func run(what string) error {
 		return ablation()
 	case "robson":
 		return robson()
-	case "conc":
-		return conc()
 	case "pause":
 		return pause()
-	case "scale":
-		return scaleExp()
-	case "datapath":
-		return datapath()
 	case "chaos":
 		return chaos()
 	case "chaos-hardened":
 		return chaosHardened()
 	case "all":
-		runningAll = true
-		for _, f := range []func() error{fig6, fig7, fig8, spec, ablation, robson, conc, pause, scaleExp, datapath, chaos, chaosHardened} {
+		for _, f := range []func() error{fig6, fig7, fig8, spec, ablation, robson, pause, chaos, chaosHardened} {
 			if err := f(); err != nil {
 				return err
 			}
@@ -125,39 +102,6 @@ func run(what string) error {
 	default:
 		return fmt.Errorf("unknown experiment %q", what)
 	}
-}
-
-// runningAll is set when the "all" experiment is driving the others;
-// jsonPath then derives a distinct artifact name per experiment so they
-// do not overwrite each other.
-var runningAll bool
-
-// jsonPath returns the -json target for one JSON-producing experiment:
-// the flag value as given for a single-experiment invocation, or — under
-// "all" — the flag value with the experiment name inserted before the
-// extension. Empty when -json is unset.
-func jsonPath(exp string) string {
-	if *jsonOut == "" {
-		return ""
-	}
-	if !runningAll {
-		return *jsonOut
-	}
-	ext := filepath.Ext(*jsonOut)
-	return strings.TrimSuffix(*jsonOut, ext) + "_" + exp + ext
-}
-
-// writeJSON dumps a result as indented JSON to path.
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }
 
 func header(title string) {
@@ -356,39 +300,6 @@ func pause() error {
 	return nil
 }
 
-func conc() error {
-	header("Concurrency: shared-allocator throughput, pooled vs thread heaps, scalar vs batch")
-	res, err := experiments.Concurrent(*scale)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-18s %8s %7s %10s %12s %14s %12s\n",
-		"configuration", "workers", "batch", "ops", "wall", "ops/sec", "final MiB")
-	for _, r := range res.Rows {
-		fmt.Printf("%-18s %8d %7d %10d %12v %14.0f %12.2f\n",
-			r.Config, r.Workers, r.Batch, r.Ops, r.Wall.Round(1e6), r.OpsPerSec, stats.MiB(r.FinalRSS))
-	}
-	return nil
-}
-
-func scaleExp() error {
-	header("Scale: free/refill throughput vs goroutine count on the sharded global heap")
-	res, err := experiments.Scale(*scale)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%8s %7s %10s %12s %14s %16s %14s\n",
-		"workers", "batch", "ops", "wall", "ops/sec", "shard acquires", "map lookups")
-	for _, r := range res.Rows {
-		fmt.Printf("%8d %7d %10d %12v %14.0f %16d %14d\n",
-			r.Workers, r.Batch, r.Ops, r.Wall.Round(1e6), r.OpsPerSec, r.ShardAcquires, r.ArenaLookups)
-	}
-	if p := jsonPath("scale"); p != "" {
-		return writeJSON(p, res)
-	}
-	return nil
-}
-
 func chaos() error {
 	header("Chaos: every fault site armed, 4 seeds, exact accounting demanded")
 	res, err := experiments.Chaos(*scale)
@@ -409,9 +320,6 @@ func chaos() error {
 		if !r.InvariantsOK {
 			return fmt.Errorf("chaos seed %d: invariant check failed", r.Seed)
 		}
-	}
-	if p := jsonPath("chaos"); p != "" {
-		return writeJSON(p, res)
 	}
 	return nil
 }
@@ -436,27 +344,6 @@ func chaosHardened() error {
 		if !r.InvariantsOK {
 			return fmt.Errorf("hardened chaos seed %d: invariant check failed", r.Seed)
 		}
-	}
-	if p := jsonPath("chaos_hardened"); p != "" {
-		return writeJSON(p, res)
-	}
-	return nil
-}
-
-func datapath() error {
-	header("DataPath: object access throughput vs goroutine count (lock-free VM translation)")
-	res, err := experiments.DataPath(*scale)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%8s %8s %10s %12s %14s %16s %10s\n",
-		"workers", "mode", "ops", "wall", "ops/sec", "translations", "retries")
-	for _, r := range res.Rows {
-		fmt.Printf("%8d %8s %10d %12v %14.0f %16d %10d\n",
-			r.Workers, r.Mode, r.Ops, r.Wall.Round(1e6), r.OpsPerSec, r.Translations, r.Retries)
-	}
-	if p := jsonPath("datapath"); p != "" {
-		return writeJSON(p, res)
 	}
 	return nil
 }

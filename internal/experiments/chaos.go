@@ -27,26 +27,26 @@ const ChaosPlan = "vm.commit:rate=37:mode=transient," +
 
 // ChaosRow is one seed's chaos run.
 type ChaosRow struct {
-	Seed           uint64        `json:"seed"`
-	Ops            int           `json:"ops"`
-	SkippedOps     int           `json:"skipped_ops"` // typed faults surfaced to the workload
-	Wall           time.Duration `json:"wall_ns"`
-	OpsPerSec      float64       `json:"ops_per_sec"`
-	FaultsInjected uint64        `json:"faults_injected"`
-	MeshPasses     uint64        `json:"mesh_passes"`
-	MeshdRestarts  uint64        `json:"meshd_restarts"`
-	RemoteQueued   uint64        `json:"remote_queued"`
-	RemoteDrained  uint64        `json:"remote_drained"`
-	Allocs         uint64        `json:"allocs"`
-	Frees          uint64        `json:"frees"`
-	InvariantsOK   bool          `json:"invariants_ok"`
+	Seed           uint64
+	Ops            int
+	SkippedOps     int // typed faults surfaced to the workload
+	Wall           time.Duration
+	OpsPerSec      float64
+	FaultsInjected uint64
+	MeshPasses     uint64
+	MeshdRestarts  uint64
+	RemoteQueued   uint64
+	RemoteDrained  uint64
+	Allocs         uint64
+	Frees          uint64
+	InvariantsOK   bool
 }
 
 // ChaosResult reports the randomized fault-schedule stress runs: the
 // fault/trace summary artifact of the CI chaos job.
 type ChaosResult struct {
-	Plan  string     `json:"plan"`
-	Seeds []ChaosRow `json:"seeds"`
+	Plan  string
+	Seeds []ChaosRow
 }
 
 // Chaos runs the fault-injection stress workload across deterministic

@@ -2,8 +2,8 @@
 // evaluation (§6) plus the analytical validations of §2 and §5. Each
 // function regenerates one artifact and returns a structured result that
 // cmd/meshbench renders as text/CSV and the root benchmark suite reports as
-// metrics. DESIGN.md carries the experiment index; EXPERIMENTS.md records
-// paper-vs-measured values.
+// metrics. The cmd/meshbench package doc lists the experiments, each with
+// the paper section it reproduces.
 package experiments
 
 import (

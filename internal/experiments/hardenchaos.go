@@ -21,29 +21,29 @@ const hardenChaosInjections = 5
 
 // HardenChaosRow is one seed's hardened chaos run.
 type HardenChaosRow struct {
-	Seed           uint64        `json:"seed"`
-	Ops            int           `json:"ops"`
-	ContainedErrs  int           `json:"contained_errs"` // typed ErrHeapCorruption surfaced to the workload
-	Wall           time.Duration `json:"wall_ns"`
-	OpsPerSec      float64       `json:"ops_per_sec"`
-	FaultsInjected uint64        `json:"faults_injected"`
-	Checks         uint64        `json:"checks"`
-	Violations     uint64        `json:"violations"`
-	Passes         uint64        `json:"passes"`
-	Quarantined    uint64        `json:"quarantined"`
-	Settled        uint64        `json:"settled"`
-	RetiredSpans   uint64        `json:"retired_spans"`
-	LostObjects    uint64        `json:"lost_objects"`
-	Audited        uint64        `json:"audited"`
-	ServedAfter    bool          `json:"served_after"` // clean malloc/free round after all retirements
-	InvariantsOK   bool          `json:"invariants_ok"`
+	Seed           uint64
+	Ops            int
+	ContainedErrs  int // typed ErrHeapCorruption surfaced to the workload
+	Wall           time.Duration
+	OpsPerSec      float64
+	FaultsInjected uint64
+	Checks         uint64
+	Violations     uint64
+	Passes         uint64
+	Quarantined    uint64
+	Settled        uint64
+	RetiredSpans   uint64
+	LostObjects    uint64
+	Audited        uint64
+	ServedAfter    bool // clean malloc/free round after all retirements
+	InvariantsOK   bool
 }
 
 // HardenChaosResult reports the corruption-containment stress runs: the
 // hardening summary artifact of the CI chaos job.
 type HardenChaosResult struct {
-	Plan  string           `json:"plan"`
-	Seeds []HardenChaosRow `json:"seeds"`
+	Plan  string
+	Seeds []HardenChaosRow
 }
 
 // ChaosHardened runs the corruption-injection stress workload across

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/alloc"
 	"repro/internal/stats"
 	"repro/internal/workload"
 	"repro/mesh"
@@ -51,12 +50,11 @@ func Pause(scale int) (*PauseResult, error) {
 		ops = 2000
 	}
 	cfg := workload.ConcurrentConfig{
-		Workers:     8,
-		Ops:         ops,
-		MaxLive:     4096,
-		Sizes:       workload.Choice{Sizes: []int{16, 32, 64, 256}, Weights: []float64{5, 3, 2, 1}},
-		Seed:        1,
-		TrackStalls: true,
+		Workers: 8,
+		Ops:     ops,
+		MaxLive: 4096,
+		Sizes:   workload.Choice{Sizes: []int{16, 32, 64, 256}, Weights: []float64{5, 3, 2, 1}},
+		Seed:    1,
 	}
 
 	res := &PauseResult{}
@@ -119,7 +117,7 @@ func Pause(scale int) (*PauseResult, error) {
 			}
 		}()
 
-		r, err := workload.RunConcurrent(ad, func(int) alloc.Heap { return ad.Allocator }, cfg)
+		r, err := workload.RunConcurrent(ad.Allocator, cfg)
 		close(stopFlusher)
 		<-flusherDone
 		close(stopSampler)

@@ -2,21 +2,6 @@ package experiments
 
 import "testing"
 
-func TestConcurrentExperiment(t *testing.T) {
-	res, err := Concurrent(100) // 2000 ops/worker: a smoke-scale run
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		if r.OpsPerSec <= 0 || r.Ops <= 0 {
-			t.Fatalf("degenerate row %+v", r)
-		}
-	}
-}
-
 func TestPauseExperiment(t *testing.T) {
 	res, err := Pause(100)
 	if err != nil {

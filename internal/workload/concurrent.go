@@ -10,309 +10,96 @@ import (
 	"repro/internal/rng"
 )
 
-// This file drives allocators from many goroutines at once — the traffic
+// This file drives one allocator from many goroutines at once — the traffic
 // shape of a server handling concurrent requests, which the deterministic
 // figure experiments (single goroutine, logical clock) deliberately avoid.
-// It measures wall-clock throughput, so results are machine-dependent;
-// RSS and accounting invariants are still checked exactly.
+// It measures wall-clock throughput and latency, so results are
+// machine-dependent.
 
 // ConcurrentConfig parameterizes a concurrent stress run.
 type ConcurrentConfig struct {
 	Workers int      // concurrent goroutines
 	Ops     int      // minimum malloc/free operations per worker
-	Batch   int      // operations per batch; <=1 uses the scalar API
 	MaxLive int      // per-worker live-object cap before it frees half
 	Sizes   SizeDist // allocation size distribution
 	Seed    uint64   // base RNG seed; worker w uses Seed+w
-	// TrackStalls wall-times every malloc/free call (scalar) or batch
-	// (batched) and reports the worst observed latency — the tail-stall
-	// metric the background-meshing experiment compares. Adds a timer
-	// syscall per operation, so throughput numbers from tracked runs are
-	// not comparable to untracked ones.
-	TrackStalls bool
-	// Producers, when positive, switches the run to the producer–consumer
-	// hand-off shape: the first Producers workers only allocate, pushing
-	// object batches onto a shared ring, and the remaining Workers-
-	// Producers workers only free what they receive — so every free is a
-	// cross-thread (remote) free, the dominant shape of pipelined servers
-	// and the traffic the allocator's message-passing free queues exist
-	// for. The ring holds at most MaxLive objects, bounding in-flight
-	// memory. Must be < Workers. 0 keeps the default mixed loop, where
-	// each worker frees what it allocated.
-	Producers int
 }
 
 // ConcurrentResult reports one concurrent run.
 type ConcurrentResult struct {
-	Workers   int
-	Ops       int // operations actually executed across workers (mallocs + frees)
+	Ops       int // malloc and free calls executed across workers
 	Wall      time.Duration
 	OpsPerSec float64
-	FinalRSS  int64
-	FinalLive int64
-	// MaxStall is the longest single malloc/free (or batch) call observed
-	// across all workers; zero unless ConcurrentConfig.TrackStalls.
+	// MaxStall is the longest single Malloc or Free call observed across
+	// all workers: the tail stall the background-meshing experiment
+	// compares.
 	MaxStall time.Duration
 }
 
-// batchBufs recycles the per-worker scratch slices across runs.
-var batchBufs = sync.Pool{
-	New: func() any { return new(batchBuf) },
-}
-
-type batchBuf struct {
-	sizes []int
-	addrs []uint64
-}
-
-// RunConcurrent drives Workers goroutines of malloc/free traffic against
-// the heaps produced by newHeap and reports aggregate throughput. Passing
-// a newHeap that returns one shared goroutine-safe heap for every worker
-// exercises a pooled allocator; returning a distinct heap per worker
-// exercises the explicit per-thread fast path. Batches go through
-// alloc.MallocBatch/FreeBatch, so heaps without a batch path are driven
-// scalar — the comparison the meshbench conc experiment prints. With
-// cfg.Producers set, the run switches from the mixed malloc/free loop to
-// the producer–consumer ring hand-off, where allocating and freeing
-// goroutines are disjoint (see ConcurrentConfig.Producers). Every object
-// is freed before RunConcurrent returns.
-func RunConcurrent(a alloc.Allocator, newHeap func(worker int) alloc.Heap, cfg ConcurrentConfig) (ConcurrentResult, error) {
-	if cfg.Workers <= 0 || cfg.Ops <= 0 {
+// RunConcurrent drives cfg.Workers goroutines of scalar malloc/free traffic
+// against heap, which every worker shares and so must be goroutine-safe.
+// Each worker allocates until it holds cfg.MaxLive objects, then frees the
+// older half, until it has made cfg.Ops calls; every object is freed
+// before RunConcurrent returns. Every call is wall-timed for MaxStall, so
+// the timer is part of the reported throughput.
+func RunConcurrent(heap alloc.Heap, cfg ConcurrentConfig) (ConcurrentResult, error) {
+	if cfg.Workers <= 0 || cfg.Ops <= 0 || cfg.MaxLive <= 0 {
 		return ConcurrentResult{}, fmt.Errorf("workload: bad concurrent config %+v", cfg)
 	}
-	if cfg.Producers < 0 || cfg.Producers >= cfg.Workers {
-		return ConcurrentResult{}, fmt.Errorf("workload: Producers (%d) must be in [0, Workers) with Workers=%d",
-			cfg.Producers, cfg.Workers)
-	}
-	batch := cfg.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	maxLive := cfg.MaxLive
-	if maxLive < batch {
-		maxLive = 4 * batch
-	}
-
-	// Create the heaps up front so sharing is detectable: when newHeap
-	// hands every worker the same goroutine-safe heap (the pooled
-	// Allocator), no worker may Close it on exit — closing a shared
-	// allocator would stop its background daemon and flush its pool while
-	// other workers still run. Per-worker heaps (Threads) are still closed
-	// so their spans become meshing candidates.
-	heaps := make([]alloc.Heap, cfg.Workers)
-	for w := range heaps {
-		heaps[w] = newHeap(w)
-	}
-	shared := false
-	for w := 1; w < cfg.Workers; w++ {
-		if heaps[w] == heaps[0] {
-			shared = true
-			break
-		}
-	}
-	if !shared && cfg.Workers == 1 {
-		// A single worker gives no pair to compare; probe with one extra
-		// newHeap call. A fresh unused Thread closes as a no-op.
-		probe := newHeap(0)
-		if probe == heaps[0] {
-			shared = true
-		} else if tc, ok := probe.(alloc.ThreadCloser); ok {
-			_ = tc.Close()
-		}
-	}
-
 	var wg sync.WaitGroup
-	var totalOps atomic.Int64
-	var maxStall atomic.Int64
-	noteStall := func(d time.Duration) {
-		for {
-			cur := maxStall.Load()
-			if int64(d) <= cur || maxStall.CompareAndSwap(cur, int64(d)) {
-				return
-			}
-		}
-	}
+	var totalOps, maxStall atomic.Int64
 	errc := make(chan error, cfg.Workers)
-
-	// Producer–consumer plumbing (cfg.Producers > 0): a ring of object
-	// batches sized so at most ~MaxLive objects are in flight, a failure
-	// latch that unblocks ring senders when a worker dies, and a closer
-	// that shuts the ring once every producer finishes.
-	var ring chan []uint64
-	var producerWG sync.WaitGroup
-	failed := make(chan struct{})
-	var failOnce sync.Once
-	fail := func(err error) {
-		errc <- err
-		failOnce.Do(func() { close(failed) })
-	}
-	if cfg.Producers > 0 {
-		slots := maxLive / batch
-		if slots < 1 {
-			slots = 1
-		}
-		ring = make(chan []uint64, slots)
-		producerWG.Add(cfg.Producers)
-		go func() {
-			producerWG.Wait()
-			close(ring)
-		}()
-	}
 	start := time.Now()
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			heap := heaps[w]
 			rnd := rng.New(cfg.Seed + uint64(w))
-			buf := batchBufs.Get().(*batchBuf)
-			defer batchBufs.Put(buf)
-			live := buf.addrs[:0]
-			defer func() { buf.addrs = live[:0] }()
-			ops := 0
-			defer func() { totalOps.Add(int64(ops)) }()
-
-			// allocChunk / freeSome: batch > 1 goes through the batch API;
-			// batch == 1 stays on the scalar Malloc/Free methods so the
-			// scalar configurations really measure the scalar path.
-			// allocChunk is the one allocation core both traffic shapes
-			// share: mallocSome appends the chunk to the worker's live
-			// set, produceChunk hands it across the ring.
-			allocChunk := func(out []uint64) ([]uint64, error) {
-				if batch == 1 {
-					size := cfg.Sizes.Sample(rnd)
-					var t0 time.Time
-					if cfg.TrackStalls {
-						t0 = time.Now()
+			live := make([]uint64, 0, cfg.MaxLive)
+			ops, stall := 0, time.Duration(0)
+			defer func() {
+				totalOps.Add(int64(ops))
+				for cur := maxStall.Load(); int64(stall) > cur; cur = maxStall.Load() {
+					if maxStall.CompareAndSwap(cur, int64(stall)) {
+						break
 					}
-					addr, err := heap.Malloc(size)
-					if cfg.TrackStalls {
-						noteStall(time.Since(t0))
-					}
+				}
+			}()
+			freeAll := func(addrs []uint64) error {
+				for _, addr := range addrs {
+					t0 := time.Now()
+					err := heap.Free(addr)
+					stall = max(stall, time.Since(t0))
 					if err != nil {
-						return out, err
+						return err
 					}
 					ops++
-					return append(out, addr), nil
 				}
-				sizes := buf.sizes[:0]
-				for i := 0; i < batch; i++ {
-					sizes = append(sizes, cfg.Sizes.Sample(rnd))
-				}
-				buf.sizes = sizes
-				var t0 time.Time
-				if cfg.TrackStalls {
-					t0 = time.Now()
-				}
-				addrs, err := alloc.MallocBatch(heap, sizes)
-				if cfg.TrackStalls {
-					noteStall(time.Since(t0))
-				}
-				if err != nil {
-					return out, err
-				}
-				ops += len(addrs)
-				return append(out, addrs...), nil
-			}
-			mallocSome := func() error {
-				var err error
-				live, err = allocChunk(live)
-				return err
-			}
-			freeSome := func(addrs []uint64) error {
-				if batch == 1 {
-					for _, addr := range addrs {
-						var t0 time.Time
-						if cfg.TrackStalls {
-							t0 = time.Now()
-						}
-						err := heap.Free(addr)
-						if cfg.TrackStalls {
-							noteStall(time.Since(t0))
-						}
-						if err != nil {
-							return err
-						}
-						ops++
-					}
-					return nil
-				}
-				var t0 time.Time
-				if cfg.TrackStalls {
-					t0 = time.Now()
-				}
-				err := alloc.FreeBatch(heap, addrs)
-				if cfg.TrackStalls {
-					noteStall(time.Since(t0))
-				}
-				if err != nil {
-					return err
-				}
-				ops += len(addrs)
 				return nil
 			}
-
-			// produceChunk allocates one hand-off batch into a fresh slice
-			// (ownership crosses the ring, so the worker scratch cannot back
-			// it).
-			produceChunk := func() ([]uint64, error) {
-				return allocChunk(make([]uint64, 0, batch))
-			}
-
-			switch {
-			case cfg.Producers > 0 && w < cfg.Producers:
-				// Producer: allocate and hand off; never free. The ring's
-				// capacity bounds in-flight memory; the failure latch keeps
-				// a send from blocking forever when the consumers died.
-				defer producerWG.Done()
-				for ops < cfg.Ops {
-					chunk, err := produceChunk()
-					if err != nil {
-						fail(fmt.Errorf("producer %d: %w", w, err))
-						return
-					}
-					select {
-					case ring <- chunk:
-					case <-failed:
-						return
-					}
-				}
-			case cfg.Producers > 0:
-				// Consumer: every free is a cross-thread free of another
-				// heap's objects — the remote-free path, end to end. Keep
-				// draining after a peer failure so producers can unblock.
-				for chunk := range ring {
-					if err := freeSome(chunk); err != nil {
-						fail(fmt.Errorf("consumer %d: %w", w, err))
-						return
-					}
-				}
-			default:
-				for ops < cfg.Ops {
-					if err := mallocSome(); err != nil {
-						errc <- fmt.Errorf("worker %d: %w", w, err)
-						return
-					}
-					if len(live) >= maxLive {
-						// Free the older half; servers churn oldest state first.
-						n := len(live) / 2
-						if err := freeSome(live[:n]); err != nil {
-							errc <- fmt.Errorf("worker %d: %w", w, err)
-							return
-						}
-						live = append(live[:0], live[n:]...)
-					}
-				}
-				if err := freeSome(live); err != nil {
+			for ops < cfg.Ops {
+				size := cfg.Sizes.Sample(rnd)
+				t0 := time.Now()
+				addr, err := heap.Malloc(size)
+				stall = max(stall, time.Since(t0))
+				if err != nil {
 					errc <- fmt.Errorf("worker %d: %w", w, err)
 					return
 				}
-				live = live[:0]
-			}
-			if tc, ok := heap.(alloc.ThreadCloser); ok && !shared {
-				if err := tc.Close(); err != nil {
-					errc <- fmt.Errorf("worker %d: %w", w, err)
+				ops++
+				live = append(live, addr)
+				if len(live) >= cfg.MaxLive {
+					// Free the older half; servers churn oldest state first.
+					n := len(live) / 2
+					if err := freeAll(live[:n]); err != nil {
+						errc <- fmt.Errorf("worker %d: %w", w, err)
+						return
+					}
+					live = append(live[:0], live[n:]...)
 				}
+			}
+			if err := freeAll(live); err != nil {
+				errc <- fmt.Errorf("worker %d: %w", w, err)
 			}
 		}(w)
 	}
@@ -321,17 +108,12 @@ func RunConcurrent(a alloc.Allocator, newHeap func(worker int) alloc.Heap, cfg C
 	for err := range errc {
 		return ConcurrentResult{}, err
 	}
-
 	wall := time.Since(start)
 	total := int(totalOps.Load())
-	res := ConcurrentResult{
-		Workers:   cfg.Workers,
+	return ConcurrentResult{
 		Ops:       total,
 		Wall:      wall,
 		OpsPerSec: float64(total) / wall.Seconds(),
-		FinalRSS:  a.RSS(),
-		FinalLive: a.Live(),
 		MaxStall:  time.Duration(maxStall.Load()),
-	}
-	return res, nil
+	}, nil
 }

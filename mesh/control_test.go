@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -289,7 +290,9 @@ func TestControlValuesTakeEffect(t *testing.T) {
 // cross-thread frees of a closed owner's objects (detached spans, so
 // nothing can queue) acquire exactly one shard per free, and batch frees
 // one shard per class; while the owner is live, remote frees queue on its
-// heap and take no shard lock at all beyond refill setup.
+// heap and take no shard lock at all beyond refill setup; and pooled churn
+// in 64-object batches takes fewer than half the shard locks of the same
+// churn in scalar calls.
 func TestContentionIntrospection(t *testing.T) {
 	readU64 := func(t *testing.T, a *Allocator, key string) uint64 {
 		t.Helper()
@@ -462,6 +465,67 @@ func TestContentionIntrospection(t *testing.T) {
 			}
 		})
 	}
+
+	// The same pooled churn on one goroutine, once through scalar calls
+	// and once through 64-object batches: allocate until 4096 objects are
+	// live, free the older half, 16,000 calls in all. Batch frees take
+	// each class's shard lock once per batch, so batches must take fewer
+	// than half the shard locks scalar calls take.
+	t.Run("pooled-batch-halves-scalar-shards", func(t *testing.T) {
+		sizes := []int{16, 16, 16, 16, 16, 16, 16, 16, 64, 64, 64, 64, 64, 64, 256, 256, 256, 256, 1024, 1024, 2048}
+		churn := func(batch int) uint64 {
+			a := New(WithSeed(1), WithClock(NewLogicalClock()), WithMeshing(false))
+			rnd := rand.New(rand.NewSource(1))
+			free := func(ptrs []Ptr) {
+				if batch > 1 {
+					if err := a.FreeBatch(ptrs); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				for _, p := range ptrs {
+					if err := a.Free(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			shard0 := readU64(t, a, "stats.global.shard_acquires")
+			var live []Ptr
+			for calls := 0; calls < 16_000; {
+				want := make([]int, batch)
+				for i := range want {
+					want[i] = sizes[rnd.Intn(len(sizes))]
+				}
+				if batch == 1 {
+					p, err := a.Malloc(want[0])
+					if err != nil {
+						t.Fatal(err)
+					}
+					live = append(live, p)
+				} else {
+					ptrs, err := a.MallocBatch(want)
+					if err != nil {
+						t.Fatal(err)
+					}
+					live = append(live, ptrs...)
+				}
+				calls += batch
+				if len(live) >= 4096 {
+					n := len(live) / 2
+					free(live[:n])
+					live = append(live[:0], live[n:]...)
+					calls += n
+				}
+			}
+			free(live)
+			return readU64(t, a, "stats.global.shard_acquires") - shard0
+		}
+		scalar, batch := churn(1), churn(64)
+		t.Logf("shard acquisitions: scalar %d, batch-64 %d", scalar, batch)
+		if batch*2 >= scalar {
+			t.Errorf("batch-64 took %d shard locks, scalar %d: want fewer than half", batch, scalar)
+		}
+	})
 }
 
 // TestVMCounterShapes pins the translation/retry counters to traffic

@@ -443,8 +443,8 @@ func TestChaosStress(t *testing.T) {
 // BenchmarkMallocFreeFaultPlaneDisabled measures the thread-local
 // Malloc/Free fast path with the fault plane at its production setting
 // (present, disabled): the acceptance bar is that injection readiness
-// costs one atomic load, invisible next to the allocation itself. The CI
-// perf gate compares this shape against the seed benchmarks.
+// costs one atomic load, invisible next to the allocation itself. Compare
+// it with BenchmarkMallocFreeFaultPlaneArmedElsewhere on one machine.
 func BenchmarkMallocFreeFaultPlaneDisabled(b *testing.B) {
 	a := New(WithSeed(1), WithMeshing(false))
 	th := a.NewThread()
