@@ -220,7 +220,10 @@ func BenchmarkScalarMallocFree(b *testing.B) {
 // per-class magazines on: a hit is a stripe swap plus an array pop, and
 // the acceptance bar is within 2× of the batch path's per-op cost.
 func BenchmarkScalarMagazineMallocFree(b *testing.B) {
-	a := mesh.New(mesh.WithSeed(1), mesh.WithMagazineObjects(256))
+	a := mesh.New(mesh.WithSeed(1))
+	if err := a.Control("frontend.magazine_objects", 256); err != nil {
+		b.Fatal(err)
+	}
 	ptrs := make([]mesh.Ptr, batchLen)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -7,7 +7,8 @@
 // devices are due to running out of memory"). This example runs the same
 // size-cycling adversary against Mesh twice — once with meshing on, once
 // off — under a hard physical-memory budget, and reports how long each
-// survives.
+// survives. It exits 1 unless compaction completes every round and the
+// no-meshing run runs out of memory.
 //
 // Run with: go run ./examples/oomsurvival
 package main
@@ -100,8 +101,10 @@ func survive(meshing bool) (rounds int, peakLive int64) {
 func main() {
 	fmt.Printf("physical budget %d MiB, live-data target %d MiB, %d rounds max\n\n",
 		budget>>20, liveTarget>>20, maxRounds)
+	survived := map[bool]bool{}
 	for _, meshing := range []bool{true, false} {
 		rounds, peak := survive(meshing)
+		survived[meshing] = rounds == maxRounds
 		name := "mesh (compacting)"
 		if !meshing {
 			name = "mesh (no meshing)"
@@ -113,6 +116,9 @@ func main() {
 		}
 		fmt.Printf("%-18s %-36s %s (peak live %.1f MiB)\n",
 			name, bar, status, float64(peak)/(1<<20))
+	}
+	if !survived[true] || survived[false] {
+		log.Fatal("the claim does not hold: want compaction to complete and no meshing to run out of memory")
 	}
 	fmt.Println("\nSame program, same live data, same budget: only compaction keeps it alive.")
 }

@@ -15,12 +15,21 @@ func testHeap(t *testing.T, mutate func(*Config)) (*GlobalHeap, *ThreadHeap) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Clock = NewLogicalClock()
-	cfg.MeshPeriod = 0 // tests drive meshing explicitly or per free
 	if mutate != nil {
 		mutate(&cfg)
 	}
 	g := NewGlobalHeap(cfg)
+	g.SetMeshPeriod(0) // tests drive meshing explicitly or per free
 	return g, NewThreadHeap(g, 1)
+}
+
+// armFaults arms g's fault plane with spec and enables it.
+func armFaults(t *testing.T, g *GlobalHeap, spec string) {
+	t.Helper()
+	if err := g.Faults().SetPlan(spec); err != nil {
+		t.Fatal(err)
+	}
+	g.Faults().SetEnabled(true)
 }
 
 func TestMallocFreeRoundTrip(t *testing.T) {
@@ -237,7 +246,8 @@ func TestRemoteFreeUpdatesBitmapOnly(t *testing.T) {
 	// site, armed on every evaluation) takes the classic §3.2 path while
 	// the span is still attached: the shard-locked bitmap update, nothing
 	// else.
-	g, th := testHeap(t, func(c *Config) { c.FaultPlan = "remote.segment" })
+	g, th := testHeap(t, nil)
+	armFaults(t, g, "remote.segment")
 	addr, _ := th.Malloc(128)
 	// Another "thread" frees it through the global heap.
 	other := NewThreadHeap(g, 2)
@@ -262,7 +272,8 @@ func TestRemoteFreeUpdatesBitmapOnly(t *testing.T) {
 }
 
 func TestEmptySpanReleasedToArena(t *testing.T) {
-	g, th := testHeap(t, func(c *Config) { c.Meshing = false })
+	g, th := testHeap(t, nil)
+	g.SetMeshingEnabled(false)
 	var addrs []uint64
 	for i := 0; i < 256; i++ {
 		a, _ := th.Malloc(16)
@@ -393,7 +404,8 @@ func TestMeshingEndToEnd(t *testing.T) {
 }
 
 func TestMeshingDisabled(t *testing.T) {
-	g, th := testHeap(t, func(c *Config) { c.Meshing = false })
+	g, th := testHeap(t, nil)
+	g.SetMeshingEnabled(false)
 	buildMeshableSpans(t, g, th)
 	if released := g.Mesh(); released != 0 {
 		t.Fatalf("meshing disabled but released %d spans", released)
@@ -459,8 +471,8 @@ func TestMeshRateLimiting(t *testing.T) {
 	clock := NewLogicalClock()
 	cfg := DefaultConfig()
 	cfg.Clock = clock
-	cfg.MeshPeriod = 100 * time.Millisecond
 	g := NewGlobalHeap(cfg)
+	g.SetMeshPeriod(100 * time.Millisecond)
 	th := NewThreadHeap(g, 1)
 
 	// Build a detached span, then free its objects through the global

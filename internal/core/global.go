@@ -42,41 +42,23 @@ var (
 	ErrHeapCorruption = errors.New("core: heap corruption detected")
 )
 
-// Config controls a heap instance. The zero value is not valid; use
+// Config holds a heap's build-time settings: what is fixed once the heap
+// exists. Runtime knobs are not here; they start at the Default*
+// constants below and change through the GlobalHeap setters, which the
+// mesh package exposes as control keys. The zero value is not valid; use
 // DefaultConfig and override fields.
 type Config struct {
 	// Seed feeds every RNG in the heap; fixed seeds give reproducible runs.
 	Seed uint64
-	// Meshing enables the compaction engine (default true). Disabling it
-	// yields the "Mesh (no meshing)" configuration of §6.3.
-	Meshing bool
 	// Randomize enables randomized allocation (default true). Disabling it
 	// yields the "Mesh (no rand)" configuration of §6.3.
 	Randomize bool
-	// MeshPeriod is the minimum interval between meshing passes (§4.5:
-	// default at most once every 0.1 s).
-	MeshPeriod time.Duration
-	// MinMeshSavings: if a pass frees less than this many bytes, the timer
-	// is not restarted until a subsequent free reaches the global heap
-	// (§4.5; default 1 MiB).
-	MinMeshSavings int
 	// DirtyPageThreshold overrides the arena's 64 MiB punch threshold
 	// (pages); 0 keeps the default.
 	DirtyPageThreshold int
 	// Clock supplies time for rate limiting and pause measurement; nil uses
 	// the wall clock.
 	Clock Clock
-	// MaxPause is the pause budget of the daemon's passes (§4.5's
-	// bounded-pause goal): the fix-up loop releases the shard lock once the
-	// budget is spent and continues under a fresh acquisition. 0 keeps the
-	// default (1 ms). Mesh, the inline and explicit pass, runs with an
-	// unbounded budget.
-	MaxPause time.Duration
-	// BackgroundMeshing routes the free-path mesh trigger to a registered
-	// notifier (the meshd daemon) instead of running the pass inline on the
-	// freeing goroutine (§4.5: meshing runs on a dedicated background
-	// thread).
-	BackgroundMeshing bool
 	// MeshStepCost, when positive, is charged to an AdvancingClock for every
 	// pair meshed. Real runs leave it 0; simulated-clock tests set it so
 	// pass durations — and therefore the pause histogram — are
@@ -87,73 +69,32 @@ type Config struct {
 	// CopyPhys elides. Tests of the §4.5.2 write-barrier protocol set it
 	// to widen the protect window so racing writers reliably fault.
 	MeshCopyCost time.Duration
-	// TraceEnabled starts the heap with the flight recorder on (default
-	// off; the disabled emission cost is one atomic load per site).
-	// Runtime-togglable via the trace.enabled control.
-	TraceEnabled bool
-	// TraceSampleRate is the 1-in-n sampling of alloc/free trace events;
-	// 0 keeps the recorder default. Runtime-tunable via trace.sample_rate.
-	TraceSampleRate int
-	// FaultPlan arms the fault-injection plane with a plan spec (see
-	// internal/faultinject for the grammar) and enables it. Empty (the
-	// default) leaves the plane disabled; an invalid spec panics in
-	// NewGlobalHeap — a typo'd chaos schedule must not silently run the
-	// happy path. Runtime-tunable via the fault.* controls.
-	FaultPlan string
-	// FaultSeed seeds the plane's deterministic decisions; 0 uses Seed,
-	// so a chaos run replays from the workload seed alone.
-	FaultSeed uint64
-	// OOMBackpressure enables the graceful-degradation ladder on memory-
-	// limit hits (default true in DefaultConfig): flush the arena's
-	// dirty reuse bins, run an emergency synchronous mesh pass, retry
-	// the allocation once, and only then fail with ErrOutOfMemory.
-	// Disabling it fails limit hits immediately (still typed).
-	// Runtime-togglable via the oom.backpressure control.
-	OOMBackpressure bool
-	// Hardening mints new spans hardened: per-object trailing canaries
-	// checked at free, mesh-copy, and audit time; poison-on-free verified
-	// before reuse; corrupt spans retired rather than crashed on (see
-	// internal/harden). Hardening is also what detects cross-thread
-	// double frees on the message-passing remote path: the owner's drain
-	// drops a queued duplicate and counts it in InvalidFree. Default off;
-	// the disabled cost is one atomic load per malloc/free.
-	// Runtime-togglable via the harden.enabled control.
-	Hardening bool
-	// Quarantine additionally parks hardened frees in a per-heap
-	// delayed-reuse ring before they re-enter a shuffle vector, widening
-	// the double-free and use-after-free detection window. Implies
-	// Hardening. Runtime-togglable via the harden.quarantine control.
-	Quarantine bool
-	// MagazineObjects is the per-size-class magazine capacity of each
-	// front-end heap (default 0 = magazines off). When positive, scalar
-	// Malloc/Free hits pop/push a stripe-local array of cached object
-	// addresses — no shared atomics at all — refilled and drained in
-	// batches of half the capacity through the batch machinery. Magazine
-	// frees trust the caller like the paper's fast path (§4.1): double
-	// frees bypass detection until the flush. Runtime-tunable via the
-	// frontend.magazine_objects control.
-	MagazineObjects int
 }
 
-// DefaultMaxPause is the daemon's pause budget used when Config.MaxPause
-// is zero.
-const DefaultMaxPause = time.Millisecond
+// Runtime-knob defaults, stored at construction. Meshing and the
+// memory-limit backpressure ladder also start enabled.
+const (
+	// DefaultMeshPeriod is the minimum interval between meshing passes
+	// (§4.5: at most once every 0.1 s).
+	DefaultMeshPeriod = 100 * time.Millisecond
+	// DefaultMinMeshSavings is the pass-productivity threshold: a pass
+	// that frees fewer bytes disarms the timer until a later free reaches
+	// the global heap (§4.5).
+	DefaultMinMeshSavings = 1 << 20
+	// DefaultMaxPause is the pause budget of the daemon's passes (§4.5's
+	// bounded-pause goal): the fix-up loop releases the shard lock once
+	// the budget is spent and continues under a fresh acquisition. Mesh,
+	// the inline and explicit pass, runs with an unbounded budget.
+	DefaultMaxPause = time.Millisecond
+)
 
-// DefaultSplitMesherT is SplitMesher's probe budget per span (§3.3: the
-// paper's t = 64). Runtime-tunable via the mesh.split_t control.
-const DefaultSplitMesherT = 64
+// splitMesherT is SplitMesher's probe budget per span (§3.3: the paper's
+// t = 64).
+const splitMesherT = 64
 
 // DefaultConfig returns the paper's default configuration.
 func DefaultConfig() Config {
-	return Config{
-		Seed:            1,
-		Meshing:         true,
-		Randomize:       true,
-		MeshPeriod:      100 * time.Millisecond,
-		MinMeshSavings:  1 << 20,
-		MaxPause:        DefaultMaxPause,
-		OOMBackpressure: true,
-	}
+	return Config{Seed: 1, Randomize: true}
 }
 
 // NumPauseBuckets is the number of fixed buckets in the pause histogram.
@@ -374,7 +315,7 @@ func (cs *classState) binRemove(b int, mh *miniheap.MiniHeap) {
 // (shard locks, remote queues) with no lock held on entry, so the stripe
 // layer can neither invert the order nor hold-and-wait against meshing.
 type GlobalHeap struct {
-	cfg   Config // immutable after construction; runtime-tunable knobs live in the atomics below
+	cfg   Config // immutable after construction; runtime knobs live in the atomics below
 	os    *vm.OS
 	arena *arena.Arena
 	clock Clock
@@ -419,11 +360,10 @@ type GlobalHeap struct {
 
 	// Runtime-tunable knobs (the mallctl surface). Atomics so the hot
 	// paths and the engine read them without locks.
-	meshEnabled  atomic.Bool
-	meshPeriod   atomic.Int64 // ns
-	minSavings   atomic.Int64 // bytes
-	maxPause     atomic.Int64 // ns
-	splitMesherT atomic.Int64
+	meshEnabled atomic.Bool
+	meshPeriod  atomic.Int64 // ns
+	minSavings  atomic.Int64 // bytes
+	maxPause    atomic.Int64 // ns
 
 	classes [sizeclass.NumClasses]classState
 
@@ -479,9 +419,6 @@ func NewGlobalHeap(cfg Config) *GlobalHeap {
 	if clock == nil {
 		clock = NewWallClock()
 	}
-	if cfg.MaxPause <= 0 {
-		cfg.MaxPause = DefaultMaxPause
-	}
 	g := &GlobalHeap{
 		cfg:   cfg,
 		os:    osv,
@@ -489,12 +426,11 @@ func NewGlobalHeap(cfg Config) *GlobalHeap {
 		clock: clock,
 		large: make(map[uint64]*miniheap.MiniHeap),
 	}
-	g.background.Store(cfg.BackgroundMeshing)
-	g.meshEnabled.Store(cfg.Meshing)
-	g.meshPeriod.Store(int64(cfg.MeshPeriod))
-	g.minSavings.Store(int64(cfg.MinMeshSavings))
-	g.maxPause.Store(int64(cfg.MaxPause))
-	g.splitMesherT.Store(DefaultSplitMesherT)
+	g.meshEnabled.Store(true)
+	g.meshPeriod.Store(int64(DefaultMeshPeriod))
+	g.minSavings.Store(DefaultMinMeshSavings)
+	g.maxPause.Store(int64(DefaultMaxPause))
+	g.oomBackpressure.Store(true)
 	for c := range g.classes {
 		cs := &g.classes[c]
 		// Per-class RNG streams derived from the seed: deterministic runs
@@ -510,40 +446,21 @@ func NewGlobalHeap(cfg Config) *GlobalHeap {
 	// line up with pause measurements and logical-clock runs stay
 	// deterministic. The VM layer records through its own source.
 	g.tracer = trace.NewRecorder(clock)
-	if cfg.TraceSampleRate > 0 {
-		g.tracer.SetSampleRate(int64(cfg.TraceSampleRate))
-	}
-	g.tracer.SetEnabled(cfg.TraceEnabled)
 	g.trEngine = g.tracer.NewSource(trace.SrcEngine)
 	g.trBarrier = g.tracer.NewSource(trace.SrcBarrier)
 	osv.SetTracer(g.tracer.NewSource(trace.SrcVM))
 	// The fault-injection plane: one per heap, shared with the VM layer
-	// so a single plan drives every injection site deterministically.
-	faultSeed := cfg.FaultSeed
-	if faultSeed == 0 {
-		faultSeed = cfg.Seed
-	}
-	g.faults = faultinject.NewPlane(faultSeed)
+	// so a single plan drives every injection site deterministically. It
+	// is seeded from the workload seed, so a chaos run replays from that
+	// seed alone, and stays disabled until a plan arms it.
+	g.faults = faultinject.NewPlane(cfg.Seed)
 	g.faults.SetTracer(g.tracer.NewSource(trace.SrcFault))
-	if cfg.FaultPlan != "" {
-		if err := g.faults.SetPlan(cfg.FaultPlan); err != nil {
-			panic(fmt.Sprintf("core: invalid fault plan %q: %v", cfg.FaultPlan, err))
-		}
-		g.faults.SetEnabled(true)
-	}
 	osv.SetFaultPlane(g.faults)
 	// The hardening plane: keyed by the workload seed so canary values —
 	// and therefore any corruption a chaos schedule manufactures — replay
-	// deterministically. Quarantine implies hardening (parked slots rely
-	// on the poison protocol to detect double frees while parked).
+	// deterministically. Disabled until switched on.
 	g.harden = harden.NewPlane(cfg.Seed)
 	g.trHarden = g.tracer.NewSource(trace.SrcHarden)
-	if cfg.Quarantine {
-		cfg.Hardening = true
-	}
-	g.harden.SetEnabled(cfg.Hardening)
-	g.harden.SetQuarantine(cfg.Quarantine)
-	g.oomBackpressure.Store(cfg.OOMBackpressure)
 	// Mesh's write barrier: a write faulting on a protected page waits out
 	// the class visit in flight, then retries; by then the page has been
 	// remapped read-write (§4.5.2). Every protect→remap window — one size

@@ -142,24 +142,13 @@ func (g *GlobalHeap) SetMinMeshSavings(bytes int) { g.minSavings.Store(int64(byt
 func (g *GlobalHeap) MinMeshSavings() int { return int(g.minSavings.Load()) }
 
 // SetMaxPause adjusts the pause budget of the daemon's meshing passes at
-// runtime; d <= 0 restores the default.
-func (g *GlobalHeap) SetMaxPause(d time.Duration) {
-	if d <= 0 {
-		d = DefaultMaxPause
-	}
-	g.maxPause.Store(int64(d))
-}
+// runtime; d must be positive.
+func (g *GlobalHeap) SetMaxPause(d time.Duration) { g.maxPause.Store(int64(d)) }
 
 // MaxPause returns the current pause budget of the daemon's passes.
 func (g *GlobalHeap) MaxPause() time.Duration {
 	return time.Duration(g.maxPause.Load())
 }
-
-// SetSplitMesherT adjusts the SplitMesher probe budget (§3.3) at runtime.
-func (g *GlobalHeap) SetSplitMesherT(t int) { g.splitMesherT.Store(int64(t)) }
-
-// SplitMesherT returns the current SplitMesher probe budget.
-func (g *GlobalHeap) SplitMesherT() int { return int(g.splitMesherT.Load()) }
 
 // CheckIntegrity validates the global heap's structural invariants. It is
 // meant for tests and debugging: it takes the mesh barrier, every shard

@@ -250,7 +250,7 @@ func (g *GlobalHeap) planClassLocked(cs *classState, class int) []meshPair {
 	cs.rnd.Shuffle(len(cands), func(i, j int) {
 		cands[i], cands[j] = cands[j], cands[i]
 	})
-	res := meshing.SplitMesher(cands, int(g.splitMesherT.Load()),
+	res := meshing.SplitMesher(cands, splitMesherT,
 		func(a, b *miniheap.MiniHeap) bool { return a.Meshable(b) })
 	// Candidate pairs are recorded first, then meshed en masse (§4.5).
 	pairs := make([]meshPair, 0, len(res.Pairs))

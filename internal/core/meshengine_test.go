@@ -50,10 +50,8 @@ func TestMeshPauseStatsDeterministic(t *testing.T) {
 	const cost = time.Millisecond
 	// A long period keeps the frozen logical clock from triggering inline
 	// passes during setup; the explicit Mesh below bypasses rate limiting.
-	g, th := testHeap(t, func(c *Config) {
-		c.MeshStepCost = cost
-		c.MeshPeriod = time.Hour
-	})
+	g, th := testHeap(t, func(c *Config) { c.MeshStepCost = cost })
+	g.SetMeshPeriod(time.Hour)
 	buildMeshableSpans(t, g, th)
 
 	if released := g.Mesh(); released != 1 {
@@ -117,11 +115,9 @@ func TestMeshBackgroundBoundedPauses(t *testing.T) {
 	// Foreground reference: identical heap, one full pass under the lock.
 	// The hour-long period keeps setup frees from meshing early (the
 	// logical clock never reaches it); explicit passes ignore it.
-	mutate := func(c *Config) {
-		c.MeshStepCost = cost
-		c.MeshPeriod = time.Hour
-	}
+	mutate := func(c *Config) { c.MeshStepCost = cost }
 	gf, thf := testHeap(t, mutate)
+	gf.SetMeshPeriod(time.Hour)
 	fragmentHeap(t, gf, thf, spans)
 	fgReleased := gf.Mesh()
 	if fgReleased < 8 {
@@ -134,6 +130,7 @@ func TestMeshBackgroundBoundedPauses(t *testing.T) {
 
 	// Background: same workload, incremental engine.
 	gb, thb := testHeap(t, mutate)
+	gb.SetMeshPeriod(time.Hour)
 	keep := fragmentHeap(t, gb, thb, spans)
 	bgReleased := gb.MeshBackground(maxPause)
 	if bgReleased != fgReleased {
@@ -339,8 +336,8 @@ func TestMeshBackgroundConcurrentWriters(t *testing.T) {
 func BenchmarkMeshBackgroundPass(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Clock = NewLogicalClock()
-	cfg.MeshPeriod = time.Hour
 	g := NewGlobalHeap(cfg)
+	g.SetMeshPeriod(time.Hour)
 	th := NewThreadHeap(g, 1)
 	fragmentHeap(b, g, th, 64)
 	b.ResetTimer()

@@ -31,8 +31,8 @@ type modelObj struct {
 func TestModelBasedChurn(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Clock = NewLogicalClock()
-	cfg.MeshPeriod = 0
 	g := NewGlobalHeap(cfg)
+	g.SetMeshPeriod(0)
 	th := NewThreadHeap(g, 1)
 	rnd := rng.New(2025)
 

@@ -55,7 +55,8 @@ func detachedSpans(t *testing.T, g *GlobalHeap, class, n, free int) ([]*miniheap
 // under one shard-lock hold. A free on any gathered span stays local, and
 // releasing the spans takes one more hold.
 func TestRefillGathersToGoal(t *testing.T) {
-	g, th := testHeap(t, func(c *Config) { c.Meshing = false })
+	g, th := testHeap(t, nil)
+	g.SetMeshingEnabled(false)
 	class := mustClass(t, 512)
 	goal := sizeclass.ObjectCount(class)
 	if goal != 8 {
@@ -148,7 +149,8 @@ func TestRefillGathersToGoal(t *testing.T) {
 // One bins check decides between gathering and a fresh span; checking the
 // bins twice would add an acquisition to every fresh refill.
 func TestFreshRefillShardAcquires(t *testing.T) {
-	g, th := testHeap(t, func(c *Config) { c.Meshing = false })
+	g, th := testHeap(t, nil)
+	g.SetMeshingEnabled(false)
 	for _, size := range []int{16, 512} {
 		class := mustClass(t, size)
 		before := g.ShardAcquires()
@@ -183,10 +185,9 @@ func TestFreshRefillShardAcquires(t *testing.T) {
 // spans go back to the bins with their reserved slots cleared, and the
 // next malloc refills from them.
 func TestHardenRetireOneOfGathered(t *testing.T) {
-	g, th := testHeap(t, func(c *Config) {
-		c.Meshing = false
-		c.Hardening = true
-	})
+	g, th := testHeap(t, nil)
+	g.SetMeshingEnabled(false)
+	g.Harden().SetEnabled(true)
 	class := mustClass(t, 512)
 	spans, live := detachedSpans(t, g, class, 6, 2)
 	liveOn := map[*miniheap.MiniHeap][]uint64{}

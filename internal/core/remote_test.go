@@ -459,7 +459,8 @@ func TestRemoteStressGatheredSpans(t *testing.T) {
 // cross-thread frees queues nothing, diverts to the shard-locked batch
 // path, and still settles every object with exact accounting.
 func TestRemoteBatchHonorsSegmentFault(t *testing.T) {
-	g, owner := testHeap(t, func(c *Config) { c.FaultPlan = "remote.segment" })
+	g, owner := testHeap(t, nil)
+	armFaults(t, g, "remote.segment")
 	other := NewThreadHeap(g, 2)
 	var addrs []uint64
 	for _, size := range []int{64, 64, 64, 256, 256, 256} {
@@ -500,7 +501,8 @@ func TestRemoteBatchHonorsSegmentFault(t *testing.T) {
 // drain must count it in InvalidFree and drop it, unwinding its
 // enqueue-time accounting, so the books still close.
 func TestRemoteStaleDoubleFreeDropped(t *testing.T) {
-	g, owner := testHeap(t, func(c *Config) { c.Meshing = false })
+	g, owner := testHeap(t, nil)
+	g.SetMeshingEnabled(false)
 	other := NewThreadHeap(g, 2)
 	addr, err := owner.Malloc(64)
 	if err != nil {

@@ -12,9 +12,9 @@ import (
 func TestTraceEventsOnCoreOps(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Clock = NewLogicalClock()
-	cfg.TraceEnabled = true
-	cfg.TraceSampleRate = 1
 	g := NewGlobalHeap(cfg)
+	g.Tracer().SetEnabled(true)
+	g.Tracer().SetSampleRate(1)
 	owner := NewThreadHeap(g, 1)
 	other := NewThreadHeap(g, 2)
 

@@ -77,7 +77,7 @@ func Chaos(scale int) (*ChaosResult, error) {
 }
 
 func chaosRun(seed uint64, opsPerWorker int) (*ChaosRow, error) {
-	a := mesh.New(mesh.WithSeed(seed), mesh.WithFaultSeed(seed),
+	a := mesh.New(mesh.WithSeed(seed),
 		mesh.WithMeshPeriod(time.Millisecond),
 		mesh.WithBackgroundMeshing(true),
 		mesh.WithFaultPlan(ChaosPlan))
@@ -191,37 +191,18 @@ func chaosRun(seed uint64, opsPerWorker int) (*ChaosRow, error) {
 	}
 	a.Mesh()
 
-	readU64 := func(key string) (uint64, error) {
-		v, err := a.ReadControl(key)
-		if err != nil {
-			return 0, err
-		}
-		return v.(uint64), nil
-	}
-	row := &ChaosRow{Seed: seed, Ops: ops, SkippedOps: skipped, Wall: wall}
+	st := a.Stats()
+	row := &ChaosRow{Seed: seed, Ops: ops, SkippedOps: skipped, Wall: wall,
+		MeshPasses: st.Mesh.Passes, RemoteQueued: st.Remote.Queued,
+		RemoteDrained: st.Remote.Drained, Allocs: st.Allocs, Frees: st.Frees}
 	if wall > 0 {
 		row.OpsPerSec = float64(ops) / wall.Seconds()
 	}
 	var err error
-	if row.FaultsInjected, err = readU64("stats.fault.injected"); err != nil {
+	if row.FaultsInjected, err = readU64(a, "stats.fault.injected"); err != nil {
 		return nil, err
 	}
-	if row.MeshPasses, err = readU64("stats.mesh_passes"); err != nil {
-		return nil, err
-	}
-	if row.MeshdRestarts, err = readU64("stats.meshd.restarts"); err != nil {
-		return nil, err
-	}
-	if row.RemoteQueued, err = readU64("stats.remote.queued"); err != nil {
-		return nil, err
-	}
-	if row.RemoteDrained, err = readU64("stats.remote.drained"); err != nil {
-		return nil, err
-	}
-	if row.Allocs, err = readU64("stats.allocs"); err != nil {
-		return nil, err
-	}
-	if row.Frees, err = readU64("stats.frees"); err != nil {
+	if row.MeshdRestarts, err = readU64(a, "stats.meshd.restarts"); err != nil {
 		return nil, err
 	}
 	if row.Allocs != row.Frees {
@@ -231,11 +212,18 @@ func chaosRun(seed uint64, opsPerWorker int) (*ChaosRow, error) {
 		return nil, fmt.Errorf("remote frees lost: queued %d, drained %d",
 			row.RemoteQueued, row.RemoteDrained)
 	}
-	if live, err := a.ReadControl("stats.live"); err != nil {
-		return nil, err
-	} else if live.(int64) != 0 {
-		return nil, fmt.Errorf("%d live bytes after freeing everything", live)
+	if st.Live != 0 {
+		return nil, fmt.Errorf("%d live bytes after freeing everything", st.Live)
 	}
 	row.InvariantsOK = a.CheckIntegrity() == nil
 	return row, nil
+}
+
+// readU64 reads a uint64-valued control key.
+func readU64(a *mesh.Allocator, key string) (uint64, error) {
+	v, err := a.ReadControl(key)
+	if err != nil {
+		return 0, err
+	}
+	return v.(uint64), nil
 }

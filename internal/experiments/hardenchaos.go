@@ -76,7 +76,7 @@ func ChaosHardened(scale int) (*HardenChaosResult, error) {
 }
 
 func hardenChaosRun(seed uint64, opsPerWorker int) (*HardenChaosRow, error) {
-	a := mesh.New(mesh.WithSeed(seed), mesh.WithFaultSeed(seed),
+	a := mesh.New(mesh.WithSeed(seed),
 		mesh.WithHardening(true), mesh.WithQuarantine(true),
 		mesh.WithMeshPeriod(time.Millisecond),
 		mesh.WithBackgroundMeshing(true),
@@ -200,20 +200,12 @@ func hardenChaosRun(seed uint64, opsPerWorker int) (*HardenChaosRow, error) {
 		return nil, firstErr
 	}
 
-	readU64 := func(key string) (uint64, error) {
-		v, err := a.ReadControl(key)
-		if err != nil {
-			return 0, err
-		}
-		return v.(uint64), nil
-	}
-
 	// Drive any unexhausted injection budget: every hardened free runs a
 	// canary check and every hardened alloc a poison check, so clean churn
 	// pulls the counters to their armed totals deterministically.
 	for i := 0; i < 50_000; i++ {
 		if i%64 == 0 {
-			if inj, err := readU64("stats.fault.injected"); err != nil {
+			if inj, err := readU64(a, "stats.fault.injected"); err != nil {
 				return nil, err
 			} else if inj >= hardenChaosInjections {
 				break
@@ -256,37 +248,18 @@ func hardenChaosRun(seed uint64, opsPerWorker int) (*HardenChaosRow, error) {
 	}
 	a.Mesh()
 
+	st := a.Stats()
+	h := st.Harden
 	row := &HardenChaosRow{Seed: seed, Ops: ops, ContainedErrs: contained,
-		Wall: wall, ServedAfter: served}
+		Wall: wall, ServedAfter: served, Checks: h.Checks,
+		Violations: h.Violations, Passes: h.Passes, Quarantined: h.Quarantined,
+		Settled: h.Settled, RetiredSpans: h.Retired, LostObjects: h.LostObjects,
+		Audited: h.Audited}
 	if wall > 0 {
 		row.OpsPerSec = float64(ops) / wall.Seconds()
 	}
 	var err error
-	if row.FaultsInjected, err = readU64("stats.fault.injected"); err != nil {
-		return nil, err
-	}
-	if row.Checks, err = readU64("stats.harden.checks"); err != nil {
-		return nil, err
-	}
-	if row.Violations, err = readU64("stats.harden.violations"); err != nil {
-		return nil, err
-	}
-	if row.Passes, err = readU64("stats.harden.passes"); err != nil {
-		return nil, err
-	}
-	if row.Quarantined, err = readU64("stats.harden.quarantined"); err != nil {
-		return nil, err
-	}
-	if row.Settled, err = readU64("stats.harden.settled"); err != nil {
-		return nil, err
-	}
-	if row.RetiredSpans, err = readU64("stats.harden.retired"); err != nil {
-		return nil, err
-	}
-	if row.LostObjects, err = readU64("stats.harden.lost_objects"); err != nil {
-		return nil, err
-	}
-	if row.Audited, err = readU64("stats.harden.audited"); err != nil {
+	if row.FaultsInjected, err = readU64(a, "stats.fault.injected"); err != nil {
 		return nil, err
 	}
 	if row.FaultsInjected != hardenChaosInjections {
@@ -308,17 +281,9 @@ func hardenChaosRun(seed uint64, opsPerWorker int) (*HardenChaosRow, error) {
 	if !row.ServedAfter {
 		return nil, errors.New("allocator stopped serving after containment")
 	}
-	allocs, err := readU64("stats.allocs")
-	if err != nil {
-		return nil, err
-	}
-	frees, err := readU64("stats.frees")
-	if err != nil {
-		return nil, err
-	}
-	if allocs != frees+row.LostObjects {
+	if st.Allocs != st.Frees+row.LostObjects {
 		return nil, fmt.Errorf("accounting broken: %d allocs, %d frees, %d lost",
-			allocs, frees, row.LostObjects)
+			st.Allocs, st.Frees, row.LostObjects)
 	}
 	row.InvariantsOK = a.CheckIntegrity() == nil
 	return row, nil

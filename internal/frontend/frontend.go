@@ -141,19 +141,18 @@ type magazine struct {
 	objs []uint64
 }
 
-// NewCache builds the front end over g. borrow and ret bridge pool
-// borrows and retirements to the heap pool; magObjects seeds the
-// magazine capacity (the frontend.magazine_objects control).
-func NewCache(g *core.GlobalHeap, magObjects int, borrow func() *core.ThreadHeap, ret func(*core.ThreadHeap)) *Cache {
-	c := &Cache{
+// NewCache builds the front end over g with magazines off. borrow and
+// ret bridge pool borrows and retirements to the heap pool;
+// SetMagazineObjects (the frontend.magazine_objects control) turns
+// magazines on.
+func NewCache(g *core.GlobalHeap, borrow func() *core.ThreadHeap, ret func(*core.ThreadHeap)) *Cache {
+	return &Cache{
 		g:      g,
 		pages:  g.Arena(),
 		tr:     g.Tracer().NewSource(trace.SrcFrontend),
 		borrow: borrow,
 		ret:    ret,
 	}
-	c.magObjects.Store(int64(clampMagObjects(magObjects)))
-	return c
 }
 
 func clampMagObjects(n int) int {

@@ -14,8 +14,8 @@ func testCache(t *testing.T, magObjects int) (*Cache, *atomic.Int64, *atomic.Int
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Clock = core.NewLogicalClock()
-	cfg.MeshPeriod = 0
 	g := core.NewGlobalHeap(cfg)
+	g.SetMeshPeriod(0)
 	var nextID, borrows, rets atomic.Int64
 	borrow := func() *core.ThreadHeap {
 		borrows.Add(1)
@@ -27,7 +27,11 @@ func testCache(t *testing.T, magObjects int) (*Cache, *atomic.Int64, *atomic.Int
 			t.Errorf("retiring heap: %v", err)
 		}
 	}
-	return NewCache(g, magObjects, borrow, ret), &borrows, &rets
+	c := NewCache(g, borrow, ret)
+	if err := c.SetMagazineObjects(magObjects); err != nil {
+		t.Fatal(err)
+	}
+	return c, &borrows, &rets
 }
 
 func TestStripeParkAndReuse(t *testing.T) {

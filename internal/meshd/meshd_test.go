@@ -16,8 +16,8 @@ func newFragmentedHeap(t *testing.T, spans int) (*core.GlobalHeap, *core.Logical
 	clk := core.NewLogicalClock()
 	cfg := core.DefaultConfig()
 	cfg.Clock = clk
-	cfg.MeshPeriod = time.Hour
 	g := core.NewGlobalHeap(cfg)
+	g.SetMeshPeriod(time.Hour)
 	th := core.NewThreadHeap(g, 1)
 	var addrs []uint64
 	for i := 0; i < spans*256; i++ {

@@ -6,6 +6,13 @@ import (
 	"time"
 )
 
+// withMeshStepCost charges an injected AdvancingClock (e.g. LogicalClock)
+// the given simulated cost per meshed pair, making pass durations — and
+// the pause histogram — deterministic in simulated-time runs.
+func withMeshStepCost(d time.Duration) Option {
+	return func(s *settings) { s.cfg.MeshStepCost = d }
+}
+
 // fragmentPooled builds a fragmented heap through the pooled API: spans *
 // 256 16-byte allocations with all but every 16th freed, then Flush so the
 // spans detach and become meshing candidates. Returns the survivors with
@@ -92,7 +99,7 @@ func TestBackgroundPauseBoundedBelowFullPass(t *testing.T) {
 		return append([]Option{
 			WithSeed(5),
 			WithClock(NewLogicalClock()),
-			WithMeshStepCost(cost),
+			withMeshStepCost(cost),
 			WithMeshPeriod(time.Hour), // only explicit passes run
 		}, extra...)
 	}

@@ -3,6 +3,7 @@ package mesh
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -16,69 +17,15 @@ import (
 // entry points keyed by dotted strings, so new knobs never grow new
 // methods.
 //
-// Control keys:
-//
-//	Key               Type            Access    Meaning
-//	mesh.period       time.Duration   rw        min interval between meshing passes (§4.5)
-//	mesh.enabled      bool            rw        compaction engine on/off (§6.3 "no meshing")
-//	mesh.background   bool            rw        background daemon on/off (§4.5 dedicated meshing thread)
-//	mesh.max_pause    time.Duration   rw        pause budget: shard-lock-hold bound of the daemon's passes
-//	mesh.min_savings  int (bytes)     rw        pass-productivity threshold that disarms the timer (§4.5)
-//	mesh.split_t      int             rw        SplitMesher probe budget (§3.3, paper t=64)
-//	mesh.compact      (ignored)       w         force a full meshing pass now
-//	os.memory_limit   int64 (bytes)   rw        resident-memory cap, 0 = unlimited (§1); rounded down to pages
-//	pool.idle         int             r         thread heaps parked in the pool
-//	pool.created      int             r         thread heaps ever created by the pool
-//	pool.flush        (ignored)       w         relinquish idle pooled heaps (= Flush)
-//	frontend.magazine_objects int     rw        per-size-class magazine capacity in objects, 0 = magazines off; max frontend.MaxMagazineObjects; writing flushes cached fronts
-//	stats.rss         int64           r         resident physical bytes
-//	stats.live        int64           r         live object bytes
-//	stats.allocs      uint64          r         total allocations
-//	stats.frees       uint64          r         total frees
-//	stats.mesh_passes uint64          r         meshing passes run
-//	stats.mesh.pauses PauseHistogram  r         distribution of meshing lock holds (§4.5 bounded pauses)
-//	stats.arena.lookups uint64        r         lock-free page-map lookups served (free-path traffic)
-//	stats.global.shard_acquires uint64 r        per-size-class shard-lock acquisitions, summed (contention proxy)
-//	stats.vm.translations uint64      r         lock-free data-path translations served (one per page run)
-//	stats.vm.retries  uint64          r         seqlock retries on the data path (health metric: ≈0 is healthy)
-//	stats.remote.queued uint64        r         frees message-passed to owner queues (no shard lock taken)
-//	stats.remote.drained uint64       r         queued frees settled by owners; equals queued at quiescence
-//	stats.pool.borrows uint64         r         thread-heap hand-offs out of the pool (misses that found every stripe empty; a steal is not a borrow)
-//	stats.pool.returns uint64         r         thread-heap hand-offs back into the pool
-//	stats.frontend.hits uint64        r         Allocator-level calls served by a stripe-cached heap (no pool hand-off)
-//	stats.frontend.misses uint64      r         Allocator-level calls that found their stripe empty (served by a steal from another stripe, or by a pool borrow)
-//	stats.frontend.fills uint64       r         magazine refills from the heap (one batched alloc each)
-//	stats.frontend.flushes uint64     r         magazine flushes back to the heap (one batched free each)
-//	stats.frontend.cached_objects int64 r       objects currently parked in stripe magazines (allocs - frees skew; 0 after Flush)
-//	trace.enabled     bool            rw        flight recorder on/off (off = one atomic load per emission site)
-//	trace.sample_rate int             rw        record 1 in n alloc/free events (min 1; other kinds are unsampled)
-//	trace.buffer_events int           rw        per-source ring capacity in events, rounded up to a power of two; applies to rings created after the write
-//	trace.offered     uint64          r         trace events accepted for recording (post-sampling)
-//	trace.dropped     uint64          r         offered events lost to ring wraparound; offered - dropped events are snapshottable
-//	fault.enabled     bool            rw        fault-injection master switch (a disabled plane never injects, whatever the plan says)
-//	fault.plan        string          rw        fault plan spec (internal/faultinject grammar); writing a non-empty plan arms and enables the plane, "" disarms and disables it; invalid specs are rejected with ErrControlType
-//	fault.seed        int             rw        decision seed of the fault plane (deterministic schedules replay from it)
-//	oom.backpressure  bool            rw        memory-limit degradation ladder on/off (flush dirty bins → emergency mesh → retry once → ErrOutOfMemory)
-//	harden.enabled    bool            rw        heap hardening on/off: canaries + poison-on-free on spans minted while on (see WithHardening)
-//	harden.quarantine bool            rw        delayed-reuse quarantine for hardened frees; enabling also enables harden.enabled
-//	harden.audit_spans int            rw        background auditor's span budget per daemon wake (>= 0; 0 disables the auditor slice)
-//	debug.check_invariants string     r         runs the full heap invariant check (stop-the-world); returns "" when clean, the violation text otherwise
-//	stats.fault.injected uint64       r         faults injected across all sites since construction
-//	stats.oom.recoveries uint64       r         memory-limit hits the backpressure ladder recovered
-//	stats.meshd.restarts uint64       r         daemon work-loop restarts after recovered panics
-//	stats.harden.checks uint64        r         hardening verifications performed (canary + poison)
-//	stats.harden.violations uint64    r         verifications that found corruption; checks == violations + passes at quiescence
-//	stats.harden.passes uint64        r         verifications that found none
-//	stats.harden.quarantined uint64   r         frees parked in quarantine rings; equals settled at quiescence
-//	stats.harden.settled uint64       r         quarantined frees settled back into the heap
-//	stats.harden.retired uint64       r         corrupt spans retired (containment actions taken)
-//	stats.harden.lost_objects uint64  r         live objects lost to retired spans
-//	stats.harden.audited uint64       r         spans walked by the background corruption auditor
-//
-// Integer-typed keys accept int, int32, int64 or uint64 on write;
-// mesh.period additionally accepts a time.ParseDuration string.
-// String-typed keys (fault.plan, debug.check_invariants) are excluded
-// from the Prometheus exposition — WriteMetrics renders numbers.
+// The controls table below is the one declaration of every key: its
+// name, help text, and get/set. Control, ReadControl, ControlKeys,
+// WriteMetrics (which prints each entry's help as a # HELP line) and the
+// With* options that mirror a key all read it. The constructors check a
+// written value's type and bounds once per kind: integer keys accept
+// int, int32, int64 or uint64; duration keys accept a time.Duration or a
+// time.ParseDuration string; flags accept a bool; actions ignore the
+// value. A rejected write returns an error wrapping ErrControlType and
+// changes nothing.
 
 // Control-surface errors. Errors returned by Control and ReadControl wrap
 // one of these, so callers can errors.Is them.
@@ -89,254 +36,130 @@ var (
 	ErrControlWriteOnly = errors.New("mesh: control key is write-only")
 )
 
-// control is one entry in the key table; a nil set makes the key
+// control is one entry of the key table; a nil set makes the key
 // read-only, a nil get makes it write-only. noExport keeps a readable
-// key out of the Prometheus exposition (string-valued keys, and reads
-// with side effects like the invariant check).
+// key out of WriteMetrics (string-valued keys, and reads with side
+// effects like the invariant check).
 type control struct {
+	name     string
+	help     string
+	get      func(*Allocator) any
 	set      func(*Allocator, any) error
-	get      func(*Allocator) (any, error)
 	noExport bool
 }
 
-var controls = map[string]control{
-	"mesh.period": {
-		set: func(a *Allocator, v any) error {
-			d, err := asDuration(v)
-			if err != nil {
-				return err
-			}
-			a.g.SetMeshPeriod(d)
-			return nil
-		},
-		get: func(a *Allocator) (any, error) { return a.g.MeshPeriod(), nil },
-	},
-	"mesh.enabled": {
-		set: func(a *Allocator, v any) error {
-			b, ok := v.(bool)
-			if !ok {
-				return fmt.Errorf("%w: need bool, got %T", ErrControlType, v)
-			}
-			a.g.SetMeshingEnabled(b)
-			return nil
-		},
-		get: func(a *Allocator) (any, error) { return a.g.MeshingEnabled(), nil },
-	},
-	"mesh.background": {
-		set: func(a *Allocator, v any) error {
-			b, ok := v.(bool)
-			if !ok {
-				return fmt.Errorf("%w: need bool, got %T", ErrControlType, v)
-			}
+// unbounded is the upper bound of integer keys without one.
+const unbounded = math.MaxInt64
+
+var controls = []control{
+	duration("mesh.period", "Minimum interval between meshing passes (§4.5).", 0,
+		func(a *Allocator) time.Duration { return a.g.MeshPeriod() },
+		func(a *Allocator, d time.Duration) { a.g.SetMeshPeriod(d) }),
+	flag("mesh.enabled", "Compaction engine on (§6.3's \"no meshing\" when off).",
+		func(a *Allocator) bool { return a.g.MeshingEnabled() },
+		func(a *Allocator, b bool) { a.g.SetMeshingEnabled(b) }),
+	flag("mesh.background", "Background meshing daemon running (§4.5's dedicated meshing thread).",
+		func(a *Allocator) bool { return a.daemon.Running() },
+		func(a *Allocator, b bool) {
 			if b {
 				a.daemon.Start()
 			} else {
 				a.daemon.Stop()
 			}
-			return nil
-		},
-		get: func(a *Allocator) (any, error) { return a.daemon.Running(), nil },
-	},
-	"mesh.max_pause": {
-		set: func(a *Allocator, v any) error {
-			d, err := asDuration(v)
-			if err != nil {
-				return err
-			}
-			if d <= 0 {
-				return fmt.Errorf("%w: mesh.max_pause must be positive, got %v", ErrControlType, d)
-			}
-			a.g.SetMaxPause(d)
-			return nil
-		},
-		get: func(a *Allocator) (any, error) { return a.g.MaxPause(), nil },
-	},
-	"mesh.min_savings": {
-		set: func(a *Allocator, v any) error {
-			n, err := asInt64(v)
-			if err != nil {
-				return err
-			}
-			a.g.SetMinMeshSavings(int(n))
-			return nil
-		},
-		get: func(a *Allocator) (any, error) { return a.g.MinMeshSavings(), nil },
-	},
-	"mesh.split_t": {
-		set: func(a *Allocator, v any) error {
-			n, err := asInt64(v)
-			if err != nil {
-				return err
-			}
-			if n <= 0 {
-				return fmt.Errorf("%w: mesh.split_t must be positive, got %d", ErrControlType, n)
-			}
-			a.g.SetSplitMesherT(int(n))
-			return nil
-		},
-		get: func(a *Allocator) (any, error) { return a.g.SplitMesherT(), nil },
-	},
-	"mesh.compact": {
-		// Route through Allocator.Mesh so the pass gets the same pause
-		// budget as explicit Mesh calls: mesh.max_pause while the daemon
-		// runs, unbounded otherwise.
-		set: func(a *Allocator, _ any) error { a.Mesh(); return nil },
-	},
-	"stats.remote.queued": {
-		get: func(a *Allocator) (any, error) { return a.g.RemoteQueued(), nil },
-	},
-	"stats.remote.drained": {
-		get: func(a *Allocator) (any, error) { return a.g.RemoteDrained(), nil },
-	},
-	"os.memory_limit": {
-		set: func(a *Allocator, v any) error {
-			n, err := asInt64(v)
-			if err != nil {
-				return err
-			}
-			if n < 0 {
-				return fmt.Errorf("%w: os.memory_limit must be >= 0, got %d", ErrControlType, n)
+		}),
+	duration("mesh.max_pause", "Pause budget: bound on each shard-lock hold of the daemon's passes.", 1,
+		func(a *Allocator) time.Duration { return a.g.MaxPause() },
+		func(a *Allocator, d time.Duration) { a.g.SetMaxPause(d) }),
+	integer("mesh.min_savings", "Bytes a pass must free to keep the mesh timer armed (§4.5).", 0, unbounded,
+		func(a *Allocator) any { return a.g.MinMeshSavings() },
+		func(a *Allocator, n int64) error { a.g.SetMinMeshSavings(int(n)); return nil }),
+	// Route through Allocator.Mesh so the pass gets the same pause budget
+	// as explicit Mesh calls: mesh.max_pause while the daemon runs,
+	// unbounded otherwise.
+	action("mesh.compact", "Run a full meshing pass now.",
+		func(a *Allocator) error { a.Mesh(); return nil }),
+	integer("os.memory_limit", "Resident-memory cap in bytes, rounded down to pages; 0 is unlimited (§1).", 0, unbounded,
+		func(a *Allocator) any { return a.g.OS().MemoryLimit() * PageSize },
+		func(a *Allocator, n int64) error {
+			// A sub-page cap would round down to 0 pages, which means
+			// unlimited.
+			if n > 0 && n < PageSize {
+				return fmt.Errorf("%w: os.memory_limit must be 0 or at least %d bytes, got %d", ErrControlType, PageSize, n)
 			}
 			a.g.OS().SetMemoryLimit(n / PageSize)
 			return nil
-		},
-		get: func(a *Allocator) (any, error) { return a.g.OS().MemoryLimit() * PageSize, nil },
-	},
-	"pool.idle": {
-		get: func(a *Allocator) (any, error) { return int(a.pool.idle.Load()), nil },
-	},
-	"pool.created": {
-		get: func(a *Allocator) (any, error) { return int(a.pool.created.Load()), nil },
-	},
-	"pool.flush": {
-		set: func(a *Allocator, _ any) error { return a.pool.flush() },
-	},
-	"frontend.magazine_objects": {
-		set: func(a *Allocator, v any) error {
-			n, err := asInt64(v)
-			if err != nil {
-				return err
-			}
-			if n < 0 || n > frontend.MaxMagazineObjects {
-				return fmt.Errorf("%w: frontend.magazine_objects must be in [0, %d], got %d",
-					ErrControlType, frontend.MaxMagazineObjects, n)
-			}
-			return a.front.SetMagazineObjects(int(n))
-		},
-		get: func(a *Allocator) (any, error) { return a.front.MagazineObjects(), nil },
-	},
-	"stats.frontend.hits": {
-		get: func(a *Allocator) (any, error) { return a.front.Hits(), nil },
-	},
-	"stats.frontend.misses": {
-		get: func(a *Allocator) (any, error) { return a.front.Misses(), nil },
-	},
-	"stats.frontend.fills": {
-		get: func(a *Allocator) (any, error) { return a.front.Fills(), nil },
-	},
-	"stats.frontend.flushes": {
-		get: func(a *Allocator) (any, error) { return a.front.Flushes(), nil },
-	},
-	"stats.frontend.cached_objects": {
-		get: func(a *Allocator) (any, error) { return a.front.CachedObjects(), nil },
-	},
-	"stats.rss": {
-		get: func(a *Allocator) (any, error) { return a.RSS(), nil },
-	},
-	"stats.live": {
-		get: func(a *Allocator) (any, error) { return a.Stats().Live, nil },
-	},
-	"stats.allocs": {
-		get: func(a *Allocator) (any, error) { return a.Stats().Allocs, nil },
-	},
-	"stats.frees": {
-		get: func(a *Allocator) (any, error) { return a.Stats().Frees, nil },
-	},
-	"stats.mesh_passes": {
-		get: func(a *Allocator) (any, error) { return a.Stats().Mesh.Passes, nil },
-	},
-	"stats.mesh.pauses": {
-		get: func(a *Allocator) (any, error) { return a.Stats().Mesh.Pauses, nil },
-	},
-	"stats.arena.lookups": {
-		get: func(a *Allocator) (any, error) { return a.g.Arena().Lookups(), nil },
-	},
-	"stats.vm.translations": {
-		get: func(a *Allocator) (any, error) { return a.g.OS().Translations(), nil },
-	},
-	"stats.vm.retries": {
-		get: func(a *Allocator) (any, error) { return a.g.OS().Retries(), nil },
-	},
-	"stats.global.shard_acquires": {
-		get: func(a *Allocator) (any, error) { return a.g.ShardAcquires(), nil },
-	},
-	"stats.pool.borrows": {
-		get: func(a *Allocator) (any, error) { return a.pool.borrows.Load(), nil },
-	},
-	"stats.pool.returns": {
-		get: func(a *Allocator) (any, error) { return a.pool.returns.Load(), nil },
-	},
-	"trace.enabled": {
-		set: func(a *Allocator, v any) error {
-			b, ok := v.(bool)
-			if !ok {
-				return fmt.Errorf("%w: need bool, got %T", ErrControlType, v)
-			}
-			a.g.Tracer().SetEnabled(b)
-			return nil
-		},
-		get: func(a *Allocator) (any, error) { return a.g.Tracer().Enabled(), nil },
-	},
-	"trace.sample_rate": {
-		set: func(a *Allocator, v any) error {
-			n, err := asInt64(v)
-			if err != nil {
-				return err
-			}
-			if n < 1 {
-				return fmt.Errorf("%w: trace.sample_rate must be >= 1, got %d", ErrControlType, n)
-			}
-			a.g.Tracer().SetSampleRate(n)
-			return nil
-		},
-		get: func(a *Allocator) (any, error) { return int(a.g.Tracer().SampleRate()), nil },
-	},
-	"trace.buffer_events": {
-		set: func(a *Allocator, v any) error {
-			n, err := asInt64(v)
-			if err != nil {
-				return err
-			}
-			if n < 1 {
-				return fmt.Errorf("%w: trace.buffer_events must be >= 1, got %d", ErrControlType, n)
-			}
-			a.g.Tracer().SetBufferEvents(n)
-			return nil
-		},
-		get: func(a *Allocator) (any, error) { return int(a.g.Tracer().BufferEvents()), nil },
-	},
-	"trace.offered": {
-		get: func(a *Allocator) (any, error) { return a.g.Tracer().Offered(), nil },
-	},
-	"trace.dropped": {
-		get: func(a *Allocator) (any, error) { return a.g.Tracer().Dropped(), nil },
-	},
-	"fault.enabled": {
-		set: func(a *Allocator, v any) error {
-			b, ok := v.(bool)
-			if !ok {
-				return fmt.Errorf("%w: need bool, got %T", ErrControlType, v)
-			}
-			a.g.Faults().SetEnabled(b)
-			return nil
-		},
-		get: func(a *Allocator) (any, error) { return a.g.Faults().Enabled(), nil },
-	},
-	"fault.plan": {
+		}),
+	stat("pool.idle", "Thread heaps parked in the pool.",
+		func(a *Allocator) any { return int(a.pool.idle.Load()) }),
+	stat("pool.created", "Thread heaps ever created by the pool.",
+		func(a *Allocator) any { return int(a.pool.created.Load()) }),
+	action("pool.flush", "Relinquish idle pooled heaps.",
+		func(a *Allocator) error { return a.pool.flush() }),
+	integer("frontend.magazine_objects", "Per-size-class magazine capacity in objects; 0 is off. Writing flushes cached fronts.", 0, frontend.MaxMagazineObjects,
+		func(a *Allocator) any { return a.front.MagazineObjects() },
+		func(a *Allocator, n int64) error { return a.front.SetMagazineObjects(int(n)) }),
+	stat("stats.frontend.hits", "Allocator-level calls served by the heap cached on the caller's stripe.",
+		func(a *Allocator) any { return a.front.Hits() }),
+	stat("stats.frontend.misses", "Allocator-level calls that found their stripe empty (served by a steal or a pool borrow).",
+		func(a *Allocator) any { return a.front.Misses() }),
+	stat("stats.frontend.fills", "Magazine refills from the heap, one batched alloc each.",
+		func(a *Allocator) any { return a.front.Fills() }),
+	stat("stats.frontend.flushes", "Magazine flushes back to the heap, one batched free each.",
+		func(a *Allocator) any { return a.front.Flushes() }),
+	stat("stats.frontend.cached_objects", "Objects parked in stripe magazines; 0 after Flush.",
+		func(a *Allocator) any { return a.front.CachedObjects() }),
+	stat("stats.rss", "Resident physical bytes.",
+		func(a *Allocator) any { return a.RSS() }),
+	stat("stats.live", "Live object bytes.",
+		func(a *Allocator) any { return a.Stats().Live }),
+	stat("stats.allocs", "Total allocations.",
+		func(a *Allocator) any { return a.Stats().Allocs }),
+	stat("stats.frees", "Total frees.",
+		func(a *Allocator) any { return a.Stats().Frees }),
+	stat("stats.mesh_passes", "Meshing passes run.",
+		func(a *Allocator) any { return a.Stats().Mesh.Passes }),
+	stat("stats.mesh.pauses", "Distribution of meshing shard-lock holds (§4.5 bounded pauses).",
+		func(a *Allocator) any { return a.Stats().Mesh.Pauses }),
+	stat("stats.arena.lookups", "Lock-free page-map lookups served (free-path traffic).",
+		func(a *Allocator) any { return a.g.Arena().Lookups() }),
+	stat("stats.vm.translations", "Lock-free data-path translations served, one per page run.",
+		func(a *Allocator) any { return a.g.OS().Translations() }),
+	stat("stats.vm.retries", "Seqlock retries on the data path; about 0 when healthy.",
+		func(a *Allocator) any { return a.g.OS().Retries() }),
+	stat("stats.global.shard_acquires", "Per-size-class shard-lock acquisitions, summed (contention proxy).",
+		func(a *Allocator) any { return a.g.ShardAcquires() }),
+	stat("stats.pool.borrows", "Thread-heap hand-offs out of the pool (misses that found every stripe empty).",
+		func(a *Allocator) any { return a.pool.borrows.Load() }),
+	stat("stats.pool.returns", "Thread-heap hand-offs back into the pool.",
+		func(a *Allocator) any { return a.pool.returns.Load() }),
+	stat("stats.remote.queued", "Frees message-passed to owner queues, no shard lock taken.",
+		func(a *Allocator) any { return a.g.RemoteQueued() }),
+	stat("stats.remote.drained", "Queued frees settled by their owners; equals queued at quiescence.",
+		func(a *Allocator) any { return a.g.RemoteDrained() }),
+	flag("trace.enabled", "Flight recorder on; off costs one atomic load per emission site.",
+		func(a *Allocator) bool { return a.g.Tracer().Enabled() },
+		func(a *Allocator, b bool) { a.g.Tracer().SetEnabled(b) }),
+	integer("trace.sample_rate", "Record 1 in n alloc/free events; other kinds are unsampled.", 1, unbounded,
+		func(a *Allocator) any { return int(a.g.Tracer().SampleRate()) },
+		func(a *Allocator, n int64) error { a.g.Tracer().SetSampleRate(n); return nil }),
+	integer("trace.buffer_events", "Per-source ring capacity in events, rounded up to a power of two; applies to rings created after the write.", 1, unbounded,
+		func(a *Allocator) any { return int(a.g.Tracer().BufferEvents()) },
+		func(a *Allocator, n int64) error { a.g.Tracer().SetBufferEvents(n); return nil }),
+	stat("trace.offered", "Trace events accepted for recording, after sampling.",
+		func(a *Allocator) any { return a.g.Tracer().Offered() }),
+	stat("trace.dropped", "Offered trace events lost to ring wraparound.",
+		func(a *Allocator) any { return a.g.Tracer().Dropped() }),
+	flag("fault.enabled", "Fault-injection master switch; a disabled plane never injects.",
+		func(a *Allocator) bool { return a.g.Faults().Enabled() },
+		func(a *Allocator, b bool) { a.g.Faults().SetEnabled(b) }),
+	{
+		name: "fault.plan",
+		help: "Fault plan spec (internal/faultinject grammar); a non-empty plan arms and enables the plane, \"\" disarms and disables it.",
+		get:  func(a *Allocator) any { return a.g.Faults().Plan() },
 		set: func(a *Allocator, v any) error {
 			spec, ok := v.(string)
 			if !ok {
-				return fmt.Errorf("%w: need plan spec string, got %T", ErrControlType, v)
+				return fmt.Errorf("%w: fault.plan needs a plan spec string, got %T", ErrControlType, v)
 			}
 			if err := a.g.Faults().SetPlan(spec); err != nil {
 				return fmt.Errorf("%w: %v", ErrControlType, err)
@@ -348,125 +171,139 @@ var controls = map[string]control{
 			a.g.Faults().SetEnabled(spec != "")
 			return nil
 		},
-		get:      func(a *Allocator) (any, error) { return a.g.Faults().Plan(), nil },
 		noExport: true,
 	},
-	"fault.seed": {
-		set: func(a *Allocator, v any) error {
-			n, err := asInt64(v)
-			if err != nil {
-				return err
-			}
-			if n < 0 {
-				return fmt.Errorf("%w: fault.seed must be >= 0, got %d", ErrControlType, n)
-			}
-			a.g.Faults().SetSeed(uint64(n))
-			return nil
-		},
-		get: func(a *Allocator) (any, error) { return a.g.Faults().Seed(), nil },
-	},
-	"oom.backpressure": {
-		set: func(a *Allocator, v any) error {
-			b, ok := v.(bool)
-			if !ok {
-				return fmt.Errorf("%w: need bool, got %T", ErrControlType, v)
-			}
-			a.g.SetOOMBackpressure(b)
-			return nil
-		},
-		get: func(a *Allocator) (any, error) { return a.g.OOMBackpressure(), nil },
-	},
-	"harden.enabled": {
-		set: func(a *Allocator, v any) error {
-			b, ok := v.(bool)
-			if !ok {
-				return fmt.Errorf("%w: need bool, got %T", ErrControlType, v)
-			}
-			a.g.Harden().SetEnabled(b)
-			return nil
-		},
-		get: func(a *Allocator) (any, error) { return a.g.Harden().Enabled(), nil },
-	},
-	"harden.quarantine": {
-		set: func(a *Allocator, v any) error {
-			b, ok := v.(bool)
-			if !ok {
-				return fmt.Errorf("%w: need bool, got %T", ErrControlType, v)
-			}
+	integer("fault.seed", "Decision seed of the fault plane; schedules replay from it. Defaults to the allocator seed.", 0, unbounded,
+		func(a *Allocator) any { return a.g.Faults().Seed() },
+		func(a *Allocator, n int64) error { a.g.Faults().SetSeed(uint64(n)); return nil }),
+	flag("oom.backpressure", "Memory-limit degradation ladder on: flush dirty bins, emergency mesh, retry once, then ErrOutOfMemory.",
+		func(a *Allocator) bool { return a.g.OOMBackpressure() },
+		func(a *Allocator, b bool) { a.g.SetOOMBackpressure(b) }),
+	flag("harden.enabled", "Heap hardening on: canaries and poison-on-free on spans minted while on.",
+		func(a *Allocator) bool { return a.g.Harden().Enabled() },
+		func(a *Allocator, b bool) { a.g.Harden().SetEnabled(b) }),
+	flag("harden.quarantine", "Delayed-reuse quarantine for hardened frees; enabling also enables harden.enabled.",
+		func(a *Allocator) bool { return a.g.Harden().QuarantineEnabled() },
+		func(a *Allocator, b bool) {
+			// Quarantine parks hardened frees; without hardening it would
+			// never see one.
 			if b {
-				// Quarantine parks hardened frees; without hardening it
-				// would never see one. Enabling implies the base plane,
-				// like the WithQuarantine option.
 				a.g.Harden().SetEnabled(true)
 			}
 			a.g.Harden().SetQuarantine(b)
-			return nil
+		}),
+	integer("harden.audit_spans", "Background auditor's span budget per daemon wake; 0 disables the auditor.", 0, unbounded,
+		func(a *Allocator) any { return int(a.g.Harden().AuditSpans()) },
+		func(a *Allocator, n int64) error { a.g.Harden().SetAuditSpans(n); return nil }),
+	stat("stats.harden.checks", "Hardening verifications performed (canary and poison).",
+		func(a *Allocator) any { return a.g.HardenStats().Checks }),
+	stat("stats.harden.violations", "Verifications that found corruption.",
+		func(a *Allocator) any { return a.g.HardenStats().Violations }),
+	stat("stats.harden.passes", "Verifications that found none; checks equals violations plus passes at quiescence.",
+		func(a *Allocator) any { return a.g.HardenStats().Passes }),
+	stat("stats.harden.quarantined", "Frees parked in quarantine rings; equals settled at quiescence.",
+		func(a *Allocator) any { return a.g.HardenStats().Quarantined }),
+	stat("stats.harden.settled", "Quarantined frees settled back into the heap.",
+		func(a *Allocator) any { return a.g.HardenStats().Settled }),
+	stat("stats.harden.retired", "Corrupt spans retired.",
+		func(a *Allocator) any { return a.g.HardenStats().Retired }),
+	stat("stats.harden.lost_objects", "Live objects lost to retired spans.",
+		func(a *Allocator) any { return a.g.HardenStats().LostObjects }),
+	stat("stats.harden.audited", "Spans walked by the background corruption auditor.",
+		func(a *Allocator) any { return a.g.HardenStats().Audited }),
+	{
+		name: "debug.check_invariants",
+		help: "Runs the full stop-the-world heap invariant check; \"\" when clean, the violation text otherwise.",
+		get: func(a *Allocator) any {
+			if err := a.g.CheckInvariants(); err != nil {
+				return err.Error()
+			}
+			return ""
 		},
-		get: func(a *Allocator) (any, error) { return a.g.Harden().QuarantineEnabled(), nil },
+		noExport: true,
 	},
-	"harden.audit_spans": {
+	stat("stats.fault.injected", "Faults injected across all sites since construction.",
+		func(a *Allocator) any { return a.g.Faults().Injected() }),
+	stat("stats.oom.recoveries", "Memory-limit hits the backpressure ladder recovered.",
+		func(a *Allocator) any { return a.g.OOMRecoveries() }),
+	stat("stats.meshd.restarts", "Daemon work-loop restarts after recovered panics.",
+		func(a *Allocator) any { return a.daemon.Restarts() }),
+}
+
+// controlIndex maps each key to its entry in controls.
+var controlIndex = func() map[string]*control {
+	m := make(map[string]*control, len(controls))
+	for i := range controls {
+		m[controls[i].name] = &controls[i]
+	}
+	return m
+}()
+
+// stat declares a read-only key.
+func stat(name, help string, get func(*Allocator) any) control {
+	return control{name: name, help: help, get: get}
+}
+
+// action declares a write-only key whose write runs do; the value is
+// ignored.
+func action(name, help string, do func(*Allocator) error) control {
+	return control{name: name, help: help, set: func(a *Allocator, _ any) error { return do(a) }}
+}
+
+// flag declares a read-write bool key.
+func flag(name, help string, get func(*Allocator) bool, set func(*Allocator, bool)) control {
+	return control{name: name, help: help,
+		get: func(a *Allocator) any { return get(a) },
+		set: func(a *Allocator, v any) error {
+			b, ok := v.(bool)
+			if !ok {
+				return fmt.Errorf("%w: %s needs bool, got %T", ErrControlType, name, v)
+			}
+			set(a, b)
+			return nil
+		}}
+}
+
+// integer declares a read-write integer key whose writes must lie in
+// [lo, hi]; get's dynamic type is the key's read-back type.
+func integer(name, help string, lo, hi int64, get func(*Allocator) any, set func(*Allocator, int64) error) control {
+	return control{name: name, help: help, get: get,
 		set: func(a *Allocator, v any) error {
 			n, err := asInt64(v)
 			if err != nil {
 				return err
 			}
-			if n < 0 {
-				return fmt.Errorf("%w: harden.audit_spans must be >= 0, got %d", ErrControlType, n)
+			if n < lo || n > hi {
+				return fmt.Errorf("%w: %s must be in [%d, %d], got %d", ErrControlType, name, lo, hi, n)
 			}
-			a.g.Harden().SetAuditSpans(n)
-			return nil
-		},
-		get: func(a *Allocator) (any, error) { return int(a.g.Harden().AuditSpans()), nil },
-	},
-	"stats.harden.checks": {
-		get: func(a *Allocator) (any, error) { return a.g.HardenStats().Checks, nil },
-	},
-	"stats.harden.violations": {
-		get: func(a *Allocator) (any, error) { return a.g.HardenStats().Violations, nil },
-	},
-	"stats.harden.passes": {
-		get: func(a *Allocator) (any, error) { return a.g.HardenStats().Passes, nil },
-	},
-	"stats.harden.quarantined": {
-		get: func(a *Allocator) (any, error) { return a.g.HardenStats().Quarantined, nil },
-	},
-	"stats.harden.settled": {
-		get: func(a *Allocator) (any, error) { return a.g.HardenStats().Settled, nil },
-	},
-	"stats.harden.retired": {
-		get: func(a *Allocator) (any, error) { return a.g.HardenStats().Retired, nil },
-	},
-	"stats.harden.lost_objects": {
-		get: func(a *Allocator) (any, error) { return a.g.HardenStats().LostObjects, nil },
-	},
-	"stats.harden.audited": {
-		get: func(a *Allocator) (any, error) { return a.g.HardenStats().Audited, nil },
-	},
-	"debug.check_invariants": {
-		get: func(a *Allocator) (any, error) {
-			if err := a.g.CheckInvariants(); err != nil {
-				return err.Error(), nil
-			}
-			return "", nil
-		},
-		noExport: true,
-	},
-	"stats.fault.injected": {
-		get: func(a *Allocator) (any, error) { return a.g.Faults().Injected(), nil },
-	},
-	"stats.oom.recoveries": {
-		get: func(a *Allocator) (any, error) { return a.g.OOMRecoveries(), nil },
-	},
-	"stats.meshd.restarts": {
-		get: func(a *Allocator) (any, error) { return a.daemon.Restarts(), nil },
-	},
+			return set(a, n)
+		}}
 }
 
-// Control sets the runtime control named key to value. See the key table
-// in this file's comment for types; ErrUnknownControl, ErrControlType and
-// ErrControlReadOnly report the failure modes. Safe for concurrent use.
+// duration declares a read-write time.Duration key whose writes must be
+// at least lo.
+func duration(name, help string, lo time.Duration, get func(*Allocator) time.Duration, set func(*Allocator, time.Duration)) control {
+	return control{name: name, help: help,
+		get: func(a *Allocator) any { return get(a) },
+		set: func(a *Allocator, v any) error {
+			d, err := asDuration(v)
+			if err != nil {
+				return err
+			}
+			if d < lo {
+				return fmt.Errorf("%w: %s must be at least %v, got %v", ErrControlType, name, lo, d)
+			}
+			set(a, d)
+			return nil
+		}}
+}
+
+// Control sets the runtime control named key to value. See the controls
+// table in control.go for keys and types; ErrUnknownControl,
+// ErrControlType and ErrControlReadOnly report the failure modes. Safe
+// for concurrent use.
 func (a *Allocator) Control(key string, value any) error {
-	c, ok := controls[key]
+	c, ok := controlIndex[key]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownControl, key)
 	}
@@ -479,22 +316,22 @@ func (a *Allocator) Control(key string, value any) error {
 // ReadControl returns the current value of the runtime control named key.
 // Safe for concurrent use.
 func (a *Allocator) ReadControl(key string) (any, error) {
-	c, ok := controls[key]
+	c, ok := controlIndex[key]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownControl, key)
 	}
 	if c.get == nil {
 		return nil, fmt.Errorf("%w: %q", ErrControlWriteOnly, key)
 	}
-	return c.get(a)
+	return c.get(a), nil
 }
 
 // ControlKeys lists every control key in sorted order, for tooling and
 // documentation.
 func ControlKeys() []string {
 	keys := make([]string, 0, len(controls))
-	for k := range controls {
-		keys = append(keys, k)
+	for _, c := range controls {
+		keys = append(keys, c.name)
 	}
 	sort.Strings(keys)
 	return keys

@@ -2,7 +2,12 @@ package mesh
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,7 +30,6 @@ func TestControlKeyTable(t *testing.T) {
 		{key: "mesh.background", set: true, want: true, readback: true},
 		{key: "mesh.max_pause", set: 2 * time.Millisecond, want: 2 * time.Millisecond, readback: true},
 		{key: "mesh.min_savings", set: 4096, want: 4096, readback: true},
-		{key: "mesh.split_t", set: 32, want: 32, readback: true},
 		{key: "mesh.compact", set: struct{}{}},
 		{key: "os.memory_limit", set: int64(1 << 20), want: int64(1 << 20), readback: true},
 		{key: "pool.idle", want: 0, readback: true},
@@ -133,46 +137,58 @@ func TestControlUnknownKey(t *testing.T) {
 
 func TestControlBadTypes(t *testing.T) {
 	a := New()
+	// Every settable non-action key checks its value's type.
+	for _, c := range controls {
+		if c.set == nil || c.get == nil {
+			continue
+		}
+		if err := a.Control(c.name, struct{}{}); !errors.Is(err, ErrControlType) {
+			t.Errorf("Control(%q, struct{}{}) = %v, want ErrControlType", c.name, err)
+		}
+	}
+	// Out-of-range values and malformed strings.
 	bad := []struct {
 		key string
 		val any
 	}{
-		{"mesh.period", 3.5},
 		{"mesh.period", "not-a-duration"},
-		{"mesh.enabled", 1},
-		{"mesh.min_savings", "many"},
-		{"mesh.split_t", false},
-		{"mesh.split_t", 0}, // must be positive
-		{"os.memory_limit", 1.0},
+		{"mesh.period", -time.Millisecond},
+		{"mesh.max_pause", time.Duration(0)},
+		{"mesh.min_savings", -1},
 		{"os.memory_limit", int64(-1)},
-		{"trace.enabled", 1},
+		// A sub-page limit would round down to 0 pages: unlimited.
+		{"os.memory_limit", 1},
+		{"os.memory_limit", PageSize - 1},
 		{"trace.sample_rate", 0},
-		{"trace.sample_rate", "fast"},
 		{"trace.buffer_events", 0},
-		{"trace.buffer_events", false},
-		{"fault.enabled", 1},
-		{"fault.plan", 3},                     // not a string
 		{"fault.plan", "bogus.site:rate=2"},   // unknown site
 		{"fault.plan", "vm.commit:rate=0"},    // rate must be >= 1
 		{"fault.plan", "vm.commit:bogus=1"},   // unknown clause key
 		{"fault.plan", "vm.commit:mode=soft"}, // unknown mode
 		{"fault.seed", int64(-1)},
-		{"fault.seed", "entropy"},
-		{"oom.backpressure", "yes"},
-		{"harden.enabled", 1},
-		{"harden.enabled", "on"},
-		{"harden.quarantine", 1},
+		{"fault.seed", uint64(1 << 63)},
 		{"harden.audit_spans", int64(-1)},
-		{"harden.audit_spans", "all"},
-		{"harden.audit_spans", 1.5},
 		{"frontend.magazine_objects", int64(-1)},
-		{"frontend.magazine_objects", "many"},
 		{"frontend.magazine_objects", frontend.MaxMagazineObjects + 1},
 	}
 	for _, tc := range bad {
 		if err := a.Control(tc.key, tc.val); !errors.Is(err, ErrControlType) {
 			t.Errorf("Control(%q, %v (%T)) = %v, want ErrControlType", tc.key, tc.val, tc.val, err)
 		}
+	}
+
+	// A rejected sub-page limit leaves the previous limit in force.
+	if err := a.Control("os.memory_limit", int64(1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Control("os.memory_limit", PageSize-1); !errors.Is(err, ErrControlType) {
+		t.Fatalf("sub-page os.memory_limit = %v, want ErrControlType", err)
+	}
+	if got, _ := a.ReadControl("os.memory_limit"); got != int64(1<<20) {
+		t.Fatalf("rejected os.memory_limit write changed the limit to %v", got)
+	}
+	if err := a.Control("os.memory_limit", 0); err != nil {
+		t.Fatal(err)
 	}
 
 	// A rejected plan write must leave the previously armed plan — and the
@@ -191,8 +207,8 @@ func TestControlBadTypes(t *testing.T) {
 	}
 
 	// Rejected harden.* writes must leave the plane untouched, like the
-	// fault.* surface: the bad bools above never flipped the enable bit,
-	// and a rejected budget write keeps the previous budget.
+	// fault.* surface: the wrong-type writes above never flipped the
+	// enable bit, and a rejected budget write keeps the previous budget.
 	if got, _ := a.ReadControl("harden.enabled"); got != false {
 		t.Fatalf("rejected harden.enabled writes flipped the switch to %v", got)
 	}
@@ -216,6 +232,98 @@ func TestControlBadTypes(t *testing.T) {
 	}
 	if got, _ := a.ReadControl("frontend.magazine_objects"); got != 32 {
 		t.Fatalf("rejected frontend.magazine_objects write clobbered the capacity: %v", got)
+	}
+}
+
+// TestOptionsMatchControl pins every option that mirrors a control key
+// to that key's table entry: New(WithX(v)) leaves every settable key
+// reading what Control(key, v) on a default allocator leaves, and a value
+// the key rejects panics in New with ErrControlType.
+func TestOptionsMatchControl(t *testing.T) {
+	cases := []struct {
+		key  string
+		good any
+		with Option // the option given good
+		bad  Option // the option given a rejected value; nil for bools
+	}{
+		{"mesh.enabled", false, WithMeshing(false), nil},
+		{"mesh.period", 5 * time.Millisecond, WithMeshPeriod(5 * time.Millisecond), WithMeshPeriod(-time.Second)},
+		{"mesh.min_savings", 4096, WithMinMeshSavings(4096), WithMinMeshSavings(-1)},
+		{"mesh.background", true, WithBackgroundMeshing(true), nil},
+		{"mesh.max_pause", 2 * time.Millisecond, WithMaxMeshPause(2 * time.Millisecond), WithMaxMeshPause(0)},
+		{"fault.plan", "meshd.stall:count=0", WithFaultPlan("meshd.stall:count=0"), WithFaultPlan("bogus.site")},
+		{"harden.enabled", true, WithHardening(true), nil},
+		{"harden.quarantine", true, WithQuarantine(true), nil},
+	}
+	settable := func(a *Allocator) map[string]any {
+		out := map[string]any{}
+		for _, c := range controls {
+			if c.get != nil && c.set != nil {
+				out[c.name] = c.get(a)
+			}
+		}
+		return out
+	}
+	listed := map[string]bool{}
+	for _, tc := range cases {
+		listed[tc.key] = true
+		t.Run(tc.key, func(t *testing.T) {
+			var s settings
+			tc.with(&s)
+			if len(s.writes) != 1 || s.writes[0].key != tc.key {
+				t.Fatalf("option writes %+v, want one write of %s", s.writes, tc.key)
+			}
+			viaControl := New(WithSeed(1), WithClock(NewLogicalClock()))
+			defer viaControl.Close()
+			if controlIndex[tc.key].get(viaControl) == tc.good {
+				t.Fatalf("%s already reads %v by default", tc.key, tc.good)
+			}
+			if err := viaControl.Control(tc.key, tc.good); err != nil {
+				t.Fatal(err)
+			}
+			viaOption := New(WithSeed(1), WithClock(NewLogicalClock()), tc.with)
+			defer viaOption.Close()
+			want, got := settable(viaControl), settable(viaOption)
+			for key := range want {
+				if got[key] != want[key] {
+					t.Errorf("%s after the option = %v, after Control = %v", key, got[key], want[key])
+				}
+			}
+			if tc.bad == nil {
+				return
+			}
+			defer func() {
+				if err, _ := recover().(error); !errors.Is(err, ErrControlType) {
+					t.Errorf("New with a rejected %s value: panic %v, want ErrControlType", tc.key, err)
+				}
+			}()
+			New(tc.bad).Close()
+		})
+	}
+
+	// The cases cover every option that writes a key.
+	f, err := parser.ParseFile(token.NewFileSet(), "mesh.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || !strings.HasPrefix(fn.Name.Name, "With") {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "writeControl" {
+				key, _ := strconv.Unquote(call.Args[0].(*ast.BasicLit).Value)
+				if !listed[key] {
+					t.Errorf("%s writes %s, which no case covers", fn.Name.Name, key)
+				}
+			}
+			return true
+		})
 	}
 }
 

@@ -183,7 +183,7 @@ func TestMeshdPanicRestarts(t *testing.T) {
 // drain→flush→emergency-mesh→retry (ladder on) — compaction as the OOM
 // escape hatch, the paper's motivating scenario.
 func TestOOMBackpressure(t *testing.T) {
-	a := New(WithSeed(11), WithClock(NewLogicalClock()), WithOOMBackpressure(false))
+	a := New(WithSeed(11), WithClock(NewLogicalClock()), writeControl("oom.backpressure", false))
 	fragmentPooled(t, a, 64)
 
 	rss, err := a.ReadControl("stats.rss")
@@ -307,7 +307,7 @@ const chaosPlan = "vm.commit:rate=37:mode=transient," +
 func TestChaosStress(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			a := New(WithSeed(seed), WithFaultSeed(seed),
+			a := New(WithSeed(seed),
 				WithMeshPeriod(time.Millisecond),
 				WithBackgroundMeshing(true),
 				WithFaultPlan(chaosPlan))

@@ -25,7 +25,7 @@ import (
 // goroutines so magazine flushes push remote frees. Contents carried
 // across the hand-off prove no write was lost.
 func TestFrontendStripeMigrationStress(t *testing.T) {
-	a := New(WithSeed(41), WithMagazineObjects(16),
+	a := New(WithSeed(41), writeControl("frontend.magazine_objects", 16),
 		WithBackgroundMeshing(true),
 		WithMeshPeriod(0),
 		WithMaxMeshPause(50*time.Microsecond),
@@ -127,7 +127,7 @@ func TestFrontendStripeMigrationStress(t *testing.T) {
 // meshing passes race the flushes' batch frees. Every combination must
 // land on the same closed books.
 func TestFrontendFlushRacesMeshingAndRetirement(t *testing.T) {
-	a := New(WithSeed(43), WithMagazineObjects(8))
+	a := New(WithSeed(43), writeControl("frontend.magazine_objects", 8))
 	defer a.Close()
 
 	const (
@@ -216,7 +216,7 @@ func TestFrontendFlushRacesMeshingAndRetirement(t *testing.T) {
 func TestFrontendChaosSeeds(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			a := New(WithSeed(seed), WithMagazineObjects(16),
+			a := New(WithSeed(seed), writeControl("frontend.magazine_objects", 16),
 				WithBackgroundMeshing(true),
 				WithMeshPeriod(time.Millisecond))
 			defer a.Close()

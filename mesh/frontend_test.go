@@ -19,7 +19,7 @@ func readFrontU64(t *testing.T, a *Allocator, key string) uint64 {
 // magazines on: mid-traffic the heap-level identity holds with the skew
 // reported by stats.frontend.cached_objects; Flush closes the books.
 func TestMagazineAccountingIdentity(t *testing.T) {
-	a := New(WithSeed(13), WithClock(NewLogicalClock()), WithMagazineObjects(32))
+	a := New(WithSeed(13), WithClock(NewLogicalClock()), writeControl("frontend.magazine_objects", 32))
 	var live []Ptr
 	for i := 0; i < 500; i++ {
 		p, err := a.Malloc(64)
@@ -70,8 +70,8 @@ func TestMagazineAccountingIdentity(t *testing.T) {
 // TestMagazineTraceEvents checks the flight recorder captures the
 // magazine lifecycle: fill and flush events from the frontend source.
 func TestMagazineTraceEvents(t *testing.T) {
-	a := New(WithSeed(17), WithClock(NewLogicalClock()), WithMagazineObjects(8),
-		WithTracing(true), WithTraceSampleRate(1))
+	a := New(WithSeed(17), WithClock(NewLogicalClock()), writeControl("frontend.magazine_objects", 8),
+		writeControl("trace.enabled", true), writeControl("trace.sample_rate", 1))
 	var ptrs []Ptr
 	for i := 0; i < 64; i++ {
 		p, err := a.Malloc(64)
@@ -106,7 +106,7 @@ func TestMagazineTraceEvents(t *testing.T) {
 // the cache drains — as a typed error with the counter algebra intact.
 func TestMagazineHardenedFlushDetectsCanarySmash(t *testing.T) {
 	a := New(WithSeed(19), WithClock(NewLogicalClock()), WithMeshing(false),
-		WithHardening(true), WithMagazineObjects(8))
+		WithHardening(true), writeControl("frontend.magazine_objects", 8))
 	p, err := a.Malloc(64)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestMagazineHardenedFlushDetectsCanarySmash(t *testing.T) {
 // poison verification and the flush boundary's canary checks all pass.
 func TestMagazineHardenedRoundTripStaysClean(t *testing.T) {
 	a := New(WithSeed(23), WithClock(NewLogicalClock()), WithHardening(true),
-		WithMagazineObjects(16))
+		writeControl("frontend.magazine_objects", 16))
 	for round := 0; round < 3; round++ {
 		var ptrs []Ptr
 		for i := 0; i < 100; i++ {
@@ -195,7 +195,7 @@ func TestMagazineHardenedRoundTripStaysClean(t *testing.T) {
 // addresses stay stable, so magazine-held (and soon-to-be-reused)
 // addresses survive passes unscathed.
 func TestMagazineMeshingKeepsAddressesValid(t *testing.T) {
-	a := New(WithSeed(29), WithClock(NewLogicalClock()), WithMagazineObjects(16))
+	a := New(WithSeed(29), WithClock(NewLogicalClock()), writeControl("frontend.magazine_objects", 16))
 	// Fragment the heap through the magazine path: allocate everything
 	// first (interleaving frees would let the magazines recycle a tiny
 	// working set and never build fragmentation — by design), then free

@@ -58,13 +58,15 @@
 //
 // Heavy-traffic callers can additionally amortize per-call overhead with
 // the batch API (MallocBatch, FreeBatch), and adjust the allocator at
-// runtime through the mallctl-style Control / ReadControl surface; see
-// control.go for the key table.
+// runtime through the mallctl-style Control / ReadControl surface
+// (ControlKeys lists the keys; control.go's table declares each one
+// once). An Option that mirrors a control key is a write of that key:
+// options apply in order, like Control calls, once the allocator exists.
 //
 // # Front-end caches
 //
 // Scalar Malloc/Free additionally support per-stripe magazine caches
-// (WithMagazineObjects, or Control("frontend.magazine_objects", n)):
+// (Control("frontend.magazine_objects", n)):
 // each stripe's cached heap carries one fixed-capacity array of object
 // addresses per size class, refilled and drained in half-capacity
 // batches through the batch machinery. A magazine hit is a stripe swap
@@ -152,6 +154,7 @@ package mesh
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -245,154 +248,113 @@ type LogicalClock = core.LogicalClock
 // NewLogicalClock returns a LogicalClock at time zero.
 func NewLogicalClock() *LogicalClock { return core.NewLogicalClock() }
 
-// Option configures an Allocator.
-type Option func(*core.Config)
+// Option configures an Allocator. Options apply in order, like a
+// sequence of Control calls, so a later option overrides an earlier one.
+// WithSeed, WithRandomization, WithClock and WithDirtyPageThreshold set
+// how the heap is built. Every other option writes the control key its
+// doc names, through the same table entry Control uses, once the
+// allocator exists; New panics if the key rejects the value. The
+// background daemon starts last, once every other setting is in place.
+type Option func(*settings)
 
-// WithSeed fixes the seed of every RNG in the allocator, making runs
-// reproducible.
-func WithSeed(seed uint64) Option {
-	return func(c *core.Config) { c.Seed = seed }
+// settings is what the options collect for New: the heap's build-time
+// configuration and the control writes to apply once the heap exists.
+type settings struct {
+	cfg    core.Config
+	writes []controlWrite
 }
 
-// WithMeshing enables or disables compaction ("Mesh (no meshing)" in §6.3
-// of the paper when disabled).
-func WithMeshing(enabled bool) Option {
-	return func(c *core.Config) { c.Meshing = enabled }
+// controlWrite is one deferred Control call.
+type controlWrite struct {
+	key   string
+	value any
+}
+
+// writeControl returns the option that writes value to the control key.
+func writeControl(key string, value any) Option {
+	return func(s *settings) { s.writes = append(s.writes, controlWrite{key, value}) }
+}
+
+// WithSeed fixes the seed of every RNG in the allocator, making runs
+// reproducible. The fault plane's decision seed (fault.seed) starts at
+// it too.
+func WithSeed(seed uint64) Option {
+	return func(s *settings) { s.cfg.Seed = seed }
 }
 
 // WithRandomization enables or disables randomized allocation ("Mesh (no
 // rand)" in §6.3 when disabled).
 func WithRandomization(enabled bool) Option {
-	return func(c *core.Config) { c.Randomize = enabled }
-}
-
-// WithMeshPeriod sets the minimum interval between automatic meshing
-// passes (the paper's default is 100 ms). Explicit Mesh calls ignore it.
-func WithMeshPeriod(d time.Duration) Option {
-	return func(c *core.Config) { c.MeshPeriod = d }
-}
-
-// WithMinMeshSavings sets the pass-productivity threshold below which the
-// mesh timer is disarmed until the next global free (default 1 MiB).
-func WithMinMeshSavings(bytes int) Option {
-	return func(c *core.Config) { c.MinMeshSavings = bytes }
+	return func(s *settings) { s.cfg.Randomize = enabled }
 }
 
 // WithClock injects a Clock (e.g. a LogicalClock) for deterministic mesh
 // rate limiting.
 func WithClock(clk Clock) Option {
-	return func(c *core.Config) { c.Clock = clk }
+	return func(s *settings) { s.cfg.Clock = clk }
 }
 
 // WithDirtyPageThreshold overrides the arena's punch-hole batching
 // threshold in pages (default 64 MiB worth).
 func WithDirtyPageThreshold(pages int) Option {
-	return func(c *core.Config) { c.DirtyPageThreshold = pages }
+	return func(s *settings) { s.cfg.DirtyPageThreshold = pages }
 }
 
-// WithBackgroundMeshing starts the allocator with the background meshing
-// daemon running (§4.5: compaction on a dedicated thread, concurrent with
-// the application): frees nudge the daemon instead of running a pass
-// inline, and the daemon's passes bound every shard-lock hold by the
-// max-pause setting instead of pass length. Toggle at runtime with
-// Control("mesh.background", bool); stop the daemon with Close.
-func WithBackgroundMeshing(enabled bool) Option {
-	return func(c *core.Config) { c.BackgroundMeshing = enabled }
-}
+// WithMeshing writes mesh.enabled: compaction on or off ("Mesh (no
+// meshing)" in §6.3 of the paper when off).
+func WithMeshing(enabled bool) Option { return writeControl("mesh.enabled", enabled) }
 
-// WithMaxMeshPause sets the daemon's pause budget: the bound on each
-// shard-lock hold of a background meshing pass (default 1 ms).
-// Runtime-adjustable via Control("mesh.max_pause", d).
-func WithMaxMeshPause(d time.Duration) Option {
-	return func(c *core.Config) { c.MaxPause = d }
-}
+// WithMeshPeriod writes mesh.period, the minimum interval between
+// automatic meshing passes (default 100 ms, the paper's). Explicit Mesh
+// calls ignore it.
+func WithMeshPeriod(d time.Duration) Option { return writeControl("mesh.period", d) }
 
-// WithMeshStepCost charges an injected AdvancingClock (e.g. LogicalClock)
-// the given simulated cost per meshed pair, making pass durations — and
-// the pause histogram — deterministic in simulated-time runs. Real-time
-// allocators leave it unset.
-func WithMeshStepCost(d time.Duration) Option {
-	return func(c *core.Config) { c.MeshStepCost = d }
-}
+// WithMinMeshSavings writes mesh.min_savings, the pass-productivity
+// threshold in bytes below which the mesh timer is disarmed until the
+// next global free (default 1 MiB).
+func WithMinMeshSavings(bytes int) Option { return writeControl("mesh.min_savings", bytes) }
 
-// WithTracing starts the allocator with the flight recorder on. The
-// recorder is always compiled in and runtime-togglable via
-// Control("trace.enabled", bool); this option only flips the initial
-// state, so runs capture events from the very first allocation.
-func WithTracing(enabled bool) Option {
-	return func(c *core.Config) { c.TraceEnabled = enabled }
-}
+// WithBackgroundMeshing writes mesh.background, starting the allocator
+// with the background meshing daemon running (§4.5: compaction on a
+// dedicated thread, concurrent with the application): frees nudge the
+// daemon instead of running a pass inline, and the daemon's passes bound
+// every shard-lock hold by mesh.max_pause instead of pass length. Close
+// stops the daemon.
+func WithBackgroundMeshing(enabled bool) Option { return writeControl("mesh.background", enabled) }
 
-// WithTraceSampleRate sets the 1-in-n sampling of alloc/free trace
-// events (default 64; other event kinds are never sampled).
-// Runtime-tunable via Control("trace.sample_rate", n).
-func WithTraceSampleRate(n int) Option {
-	return func(c *core.Config) { c.TraceSampleRate = n }
-}
+// WithMaxMeshPause writes mesh.max_pause, the daemon's pause budget: the
+// bound on each shard-lock hold of a background meshing pass (positive;
+// default 1 ms).
+func WithMaxMeshPause(d time.Duration) Option { return writeControl("mesh.max_pause", d) }
 
-// WithFaultPlan arms the deterministic fault-injection plane with a plan
-// spec and enables it — chaos testing's front door. The grammar is a
-// comma-separated list of site clauses, e.g.
+// WithFaultPlan writes fault.plan, arming the deterministic
+// fault-injection plane with a plan spec and enabling it — chaos
+// testing's front door. The grammar is a comma-separated list of site
+// clauses, e.g.
 //
 //	"vm.commit:rate=8:mode=transient,mesh.copy:count=1"
 //
 // (see internal/faultinject for sites and options). An invalid spec
-// panics in New: a typo'd chaos schedule must not silently run the
-// happy path. Runtime-adjustable via the fault.plan / fault.enabled
-// controls; the disabled plane costs one atomic load per site.
-func WithFaultPlan(spec string) Option {
-	return func(c *core.Config) { c.FaultPlan = spec }
-}
+// panics in New: a typo'd chaos schedule must not silently run the happy
+// path. The disabled plane costs one atomic load per site.
+func WithFaultPlan(spec string) Option { return writeControl("fault.plan", spec) }
 
-// WithFaultSeed fixes the fault plane's decision seed independently of
-// the allocator seed (which it defaults to), so a fault schedule can be
-// varied against a fixed workload or vice versa. Runtime-adjustable via
-// Control("fault.seed", n).
-func WithFaultSeed(seed uint64) Option {
-	return func(c *core.Config) { c.FaultSeed = seed }
-}
+// WithHardening writes harden.enabled, starting the allocator with heap
+// hardening on: spans are minted with per-object trailing canaries and
+// whole-span poison, frees verify and re-poison, and the background
+// daemon audits spans for corruption. Detection contains (span
+// retirement + ErrHeapCorruption) rather than crashes. Once enabled,
+// small-object usable sizes permanently shrink by the canary word (the
+// size-class routing must keep reserving it for spans that outlive a
+// disable).
+func WithHardening(enabled bool) Option { return writeControl("harden.enabled", enabled) }
 
-// WithHardening starts the allocator with heap hardening on: spans are
-// minted with per-object trailing canaries and whole-span poison, frees
-// verify and re-poison, and the background daemon audits spans for
-// corruption. Detection contains (span retirement + ErrHeapCorruption)
-// rather than crashes. Runtime-togglable via Control("harden.enabled",
-// bool); note that once enabled, small-object usable sizes permanently
-// shrink by the canary word (the size-class routing must keep reserving
-// it for spans that outlive a disable).
-func WithHardening(enabled bool) Option {
-	return func(c *core.Config) { c.Hardening = enabled }
-}
-
-// WithQuarantine starts the allocator with the delayed-reuse quarantine
-// on (implies WithHardening): hardened frees park in a per-heap ring and
-// are re-verified before their slots return to a shuffle vector, widening
-// the use-after-free and double-free detection window. Runtime-togglable
-// via Control("harden.quarantine", bool).
-func WithQuarantine(enabled bool) Option {
-	return func(c *core.Config) { c.Quarantine = enabled }
-}
-
-// WithMagazineObjects sets the per-size-class magazine capacity of each
-// front-end stripe (default 0 = magazines off; clamped to the
-// frontend.magazine_objects bounds). With magazines on, scalar
-// Malloc/Free hits are array pops/pushes with zero shared atomics,
-// refilled and drained in half-capacity batches; see the package
-// comment's "Front-end caches" section for the deferred-detection and
-// accounting-skew trade-offs. Runtime-tunable via
-// Control("frontend.magazine_objects", n).
-func WithMagazineObjects(n int) Option {
-	return func(c *core.Config) { c.MagazineObjects = n }
-}
-
-// WithOOMBackpressure enables or disables the memory-limit degradation
-// ladder (default enabled): on a limit hit, flush dirty reuse bins, run
-// an emergency synchronous mesh pass, and retry once before returning
-// ErrOutOfMemory. Disabling fails limit hits immediately (still typed).
-// Runtime-togglable via Control("oom.backpressure", bool).
-func WithOOMBackpressure(enabled bool) Option {
-	return func(c *core.Config) { c.OOMBackpressure = enabled }
-}
+// WithQuarantine writes harden.quarantine, starting the allocator with
+// the delayed-reuse quarantine on, which also turns hardening on:
+// hardened frees park in a per-heap ring and are re-verified before their
+// slots return to a shuffle vector, widening the use-after-free and
+// double-free detection window.
+func WithQuarantine(enabled bool) Option { return writeControl("harden.quarantine", enabled) }
 
 // Allocator is a Mesh heap, safe for concurrent use by any number of
 // goroutines. Each call transparently takes a thread heap from the
@@ -407,18 +369,28 @@ type Allocator struct {
 }
 
 // New constructs an allocator with the paper's default configuration,
-// modified by opts.
+// modified by opts. It panics if an option's control key rejects the
+// value.
 func New(opts ...Option) *Allocator {
-	cfg := core.DefaultConfig()
+	s := settings{cfg: core.DefaultConfig()}
 	for _, o := range opts {
-		o(&cfg)
+		o(&s)
 	}
-	a := &Allocator{g: core.NewGlobalHeap(cfg)}
+	a := &Allocator{g: core.NewGlobalHeap(s.cfg)}
 	a.pool = newHeapPool(a.g, &a.nextID)
-	a.front = frontend.NewCache(a.g, cfg.MagazineObjects, a.pool.acquire, a.pool.release)
+	a.front = frontend.NewCache(a.g, a.pool.acquire, a.pool.release)
 	a.daemon = meshd.New(a.g, meshd.Config{})
-	if cfg.BackgroundMeshing {
-		a.daemon.Start()
+	// Two rounds keep the writes in order while mesh.background, which
+	// starts the daemon, goes after every other setting.
+	for _, daemon := range []bool{false, true} {
+		for _, w := range s.writes {
+			if (w.key == "mesh.background") != daemon {
+				continue
+			}
+			if err := a.Control(w.key, w.value); err != nil {
+				panic(fmt.Errorf("mesh: New: %w", err))
+			}
+		}
 	}
 	return a
 }
@@ -491,7 +463,7 @@ func (a *Allocator) Stats() Stats { return a.g.Stats() }
 // Dropped + len(Events), always). It never blocks recording and is safe
 // to call at any time, including with tracing disabled (events recorded
 // before disabling are retained). Enable recording with
-// Control("trace.enabled", true) or the WithTracing option.
+// Control("trace.enabled", true).
 func (a *Allocator) TraceSnapshot() TraceSnapshot { return a.g.Tracer().Snapshot() }
 
 // RSS returns resident physical memory in bytes.

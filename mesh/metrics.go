@@ -4,44 +4,38 @@ package mesh
 // readable stats.*/trace.* (and config) key becomes one metric line, so a
 // paper-style run — or a scrape endpoint — captures the full counter
 // state in one call. The format is the Prometheus text exposition format
-// (version 0.0.4): `# TYPE` headers, snake_case names prefixed mesh_,
-// histograms expanded to cumulative _bucket/_sum/_count series, and
-// durations converted to seconds. New control keys appear here
-// automatically: the exporter walks ControlKeys and renders by dynamic
-// type, skipping only write-only keys.
+// (version 0.0.4): `# HELP` and `# TYPE` headers, snake_case names
+// prefixed mesh_, histograms expanded to cumulative _bucket/_sum/_count
+// series, and durations converted to seconds. New control keys appear
+// here automatically: the exporter walks the controls table, takes each
+// entry's help text, and renders by dynamic type, skipping only
+// write-only and noExport keys.
 
 import (
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 )
 
 // WriteMetrics writes every readable control key as Prometheus-style
-// text metrics. Gauges and counters render as single lines; the
-// stats.mesh.pauses histogram renders as cumulative le-buckets plus _sum
-// and _count; duration-valued keys get a _seconds suffix. Keys are
-// emitted in sorted order, so output is diffable across runs.
+// text metrics, each headed by its key's help text. Gauges and counters
+// render as single lines; the stats.mesh.pauses histogram renders as
+// cumulative le-buckets plus _sum and _count; duration-valued keys get a
+// _seconds suffix. Keys are emitted in sorted order, so output is
+// diffable across runs.
 func (a *Allocator) WriteMetrics(w io.Writer) error {
 	for _, key := range ControlKeys() {
+		c := controlIndex[key]
+		// Write-only keys (actions like mesh.compact) have no value, and
 		// noExport keys (string-valued, or reads with side effects like
 		// debug.check_invariants) have no numeric rendering.
-		if controls[key].noExport {
+		if c.get == nil || c.noExport {
 			continue
 		}
-		v, err := a.ReadControl(key)
-		if err != nil {
-			// Write-only keys (actions like mesh.compact) have no value
-			// to export; any other read error is a bug worth surfacing.
-			if controls[key].get == nil {
-				continue
-			}
-			return fmt.Errorf("mesh: exporting %q: %w", key, err)
-		}
-		if err := writeMetric(w, metricName(key), v); err != nil {
+		if err := writeMetric(w, metricName(key), c.help, c.get(a)); err != nil {
 			return err
 		}
 	}
@@ -67,24 +61,24 @@ func metricName(key string) string {
 	return "mesh_" + strings.NewReplacer(".", "_", "-", "_").Replace(key)
 }
 
-func writeMetric(w io.Writer, name string, v any) error {
+func writeMetric(w io.Writer, name, help string, v any) error {
 	switch x := v.(type) {
 	case bool:
 		n := 0
 		if x {
 			n = 1
 		}
-		return writeScalar(w, name, "gauge", "%d", n)
+		return writeScalar(w, name, help, "%d", n)
 	case int:
-		return writeScalar(w, name, "gauge", "%d", x)
+		return writeScalar(w, name, help, "%d", x)
 	case int64:
-		return writeScalar(w, name, "gauge", "%d", x)
+		return writeScalar(w, name, help, "%d", x)
 	case uint64:
-		return writeScalar(w, name, "gauge", "%d", x)
+		return writeScalar(w, name, help, "%d", x)
 	case time.Duration:
-		return writeScalar(w, name+"_seconds", "gauge", "%g", x.Seconds())
+		return writeScalar(w, name+"_seconds", help, "%g", x.Seconds())
 	case PauseHistogram:
-		return writePauseHistogram(w, name+"_seconds", x)
+		return writePauseHistogram(w, name+"_seconds", help, x)
 	default:
 		// Future key types surface loudly rather than silently vanishing
 		// from dashboards.
@@ -92,8 +86,14 @@ func writeMetric(w io.Writer, name string, v any) error {
 	}
 }
 
-func writeScalar(w io.Writer, name, typ, format string, v any) error {
-	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, typ); err != nil {
+// writeHeader writes a series' # HELP and # TYPE lines.
+func writeHeader(w io.Writer, name, help, typ string) error {
+	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	return err
+}
+
+func writeScalar(w io.Writer, name, help, format string, v any) error {
+	if err := writeHeader(w, name, help, "gauge"); err != nil {
 		return err
 	}
 	_, err := fmt.Fprintf(w, "%s "+format+"\n", name, v)
@@ -104,8 +104,8 @@ func writeScalar(w io.Writer, name, typ, format string, v any) error {
 // Prometheus histogram convention: cumulative bucket counts keyed by
 // inclusive upper bound in seconds, an +Inf bucket equal to _count, and
 // the observed sum.
-func writePauseHistogram(w io.Writer, name string, h PauseHistogram) error {
-	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
+func writePauseHistogram(w io.Writer, name, help string, h PauseHistogram) error {
+	if err := writeHeader(w, name, help, "histogram"); err != nil {
 		return err
 	}
 	cum := uint64(0)
@@ -135,19 +135,4 @@ func formatSeconds(s float64) string {
 	out := fmt.Sprintf("%.9f", s)
 	out = strings.TrimRight(out, "0")
 	return strings.TrimRight(out, ".")
-}
-
-// MetricNames returns the metric identifier for every readable control
-// key, sorted — handy for tests and for wiring dashboards without
-// scraping first.
-func MetricNames() []string {
-	names := make([]string, 0, len(controls))
-	for key, c := range controls {
-		if c.get == nil || c.noExport {
-			continue
-		}
-		names = append(names, metricName(key))
-	}
-	sort.Strings(names)
-	return names
 }

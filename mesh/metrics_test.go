@@ -53,7 +53,19 @@ func TestWriteMetricsCoversEveryReadableKey(t *testing.T) {
 	}
 	got := parseMetrics(t, buf.String())
 
-	for _, name := range MetricNames() {
+	for _, c := range controls {
+		if c.get == nil || c.noExport {
+			continue
+		}
+		name := metricName(c.name)
+		// Each series is headed by its entry's help text.
+		series := name
+		if _, ok := got[name]; !ok {
+			series = name + "_seconds"
+		}
+		if help := "# HELP " + series + " " + c.help + "\n"; !strings.Contains(buf.String(), help) {
+			t.Errorf("export lacks %q", help)
+		}
 		if name == "mesh_stats_mesh_pauses" {
 			// The histogram expands into derived series.
 			for _, suffix := range []string{"_seconds_sum", "_seconds_count", `_seconds_bucket{le="+Inf"}`} {
@@ -125,7 +137,7 @@ func TestMetricsHandler(t *testing.T) {
 }
 
 func TestTraceSnapshotThroughAllocator(t *testing.T) {
-	a := New(WithSeed(1), WithClock(NewLogicalClock()), WithTracing(true), WithTraceSampleRate(1))
+	a := New(WithSeed(1), WithClock(NewLogicalClock()), writeControl("trace.enabled", true), writeControl("trace.sample_rate", 1))
 
 	const n = 200
 	ptrs := make([]Ptr, 0, n)
@@ -196,7 +208,7 @@ func TestTraceSnapshotThroughAllocator(t *testing.T) {
 
 func TestTraceCapturesMeshPhases(t *testing.T) {
 	clock := NewLogicalClock()
-	a := New(WithSeed(9), WithClock(clock), WithTracing(true), WithTraceSampleRate(1))
+	a := New(WithSeed(9), WithClock(clock), writeControl("trace.enabled", true), writeControl("trace.sample_rate", 1))
 
 	// Build a meshable heap: allocate everything, then free 15 of every
 	// 16 objects so released spans sit at ~6% occupancy.
