@@ -33,52 +33,6 @@ type Allocator interface {
 	Memory() *vm.OS
 }
 
-// BatchHeap is optionally implemented by heaps that can amortize per-call
-// overhead (lock traffic, accounting atomics, pooled-heap hand-offs)
-// across many operations. Semantics match looping over Malloc/Free: batch
-// malloc is all-or-nothing, batch free frees every valid address and
-// reports the invalid ones.
-type BatchHeap interface {
-	Heap
-	// MallocBatch allocates one object per entry of sizes.
-	MallocBatch(sizes []int) ([]uint64, error)
-	// FreeBatch releases every object in addrs.
-	FreeBatch(addrs []uint64) error
-}
-
-// MallocBatch allocates via h's batch path when it has one, else one
-// Malloc per size. On a scalar-path failure, objects already allocated
-// are freed so the fallback keeps BatchHeap's all-or-nothing contract.
-func MallocBatch(h Heap, sizes []int) ([]uint64, error) {
-	if bh, ok := h.(BatchHeap); ok {
-		return bh.MallocBatch(sizes)
-	}
-	out := make([]uint64, 0, len(sizes))
-	for _, size := range sizes {
-		addr, err := h.Malloc(size)
-		if err != nil {
-			_ = FreeBatch(h, out)
-			return nil, err
-		}
-		out = append(out, addr)
-	}
-	return out, nil
-}
-
-// FreeBatch releases via h's batch path when it has one, else one Free per
-// address; the first scalar error stops the loop.
-func FreeBatch(h Heap, addrs []uint64) error {
-	if bh, ok := h.(BatchHeap); ok {
-		return bh.FreeBatch(addrs)
-	}
-	for _, addr := range addrs {
-		if err := h.Free(addr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Mesher is implemented by allocators supporting explicit compaction; the
 // harness uses it for the "force a mesh now" experiments.
 type Mesher interface {

@@ -69,8 +69,11 @@ type modState struct {
 }
 
 // annotated reports whether fn's declaration (function, method, or
-// interface method) carries the //mesh:lockfree marker.
+// interface method) carries the //mesh:lockfree marker. A call through an
+// instantiated generic type or function resolves to an instance; its
+// Origin is the declared object.
 func (st *modState) annotated(fn *types.Func) bool {
+	fn = fn.Origin()
 	pkg := fn.Pkg()
 	if pkg == nil {
 		return false

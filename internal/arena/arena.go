@@ -13,18 +13,18 @@
 // accumulate, or when meshing is invoked.
 //
 // The offset-to-MiniHeap table is a two-level radix page map of atomic
-// pointers (tcmalloc-pagemap style), so Lookup on the free path is two
-// atomic loads and zero locking; see the pageMap comment for the memory-
-// ordering argument.
+// pointers (internal/pagemap), so Lookup on the free path is two atomic
+// loads and zero locking; see Lookup for the memory-ordering argument.
 package arena
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/counter"
 	"repro/internal/faultinject"
 	"repro/internal/miniheap"
+	"repro/internal/pagemap"
 	"repro/internal/vm"
 )
 
@@ -32,42 +32,11 @@ import (
 // arena punches used spans back to the OS: 64 MiB, per §4.4.1.
 const DefaultDirtyPageThreshold = 64 << 20 / vm.PageSize
 
-// Page-map geometry: virtual page numbers relative to vm.ArenaBase index a
-// two-level radix tree — rootBits select a lazily allocated leaf, leafBits
-// select the slot inside it. 17+15 bits of VPN cover 16 TiB of address
-// space above the arena base; vm.OS's bump-pointer Reserve never reuses
-// addresses, so this is a hard capacity, checked on Register.
-const (
-	leafBits = 15
-	leafSize = 1 << leafBits
-	leafMask = leafSize - 1
-	rootBits = 17
-	rootSize = 1 << rootBits
-	// maxPages is the number of virtual pages the map can describe:
-	// 2^32 pages = 16 TiB of cumulative reservations. The root array this
-	// costs is 1 MiB of lazily faulted pointers per arena; the vm layer's
-	// bump-pointer Reserve never recycles addresses, so this bounds an
-	// arena's lifetime churn, not its live size — at ~10 pages consumed
-	// per span allocation it is good for ~400M span allocations.
-	maxPages = 1 << (rootBits + leafBits)
-	// baseVPN is the first virtual page number the map covers.
-	baseVPN = vm.ArenaBase >> vm.PageShift
-)
-
-// lookupStripes spreads the Lookup counter over several cache lines so the
-// free fast path never shares one hot line across workers; stripes are
-// picked by page number, which distributes by span and therefore by the
-// per-worker size classes that dominate traffic.
-const lookupStripes = 32
-
-// stripedCount is one padded counter stripe (its own cache line).
-type stripedCount struct {
-	n atomic.Uint64
-	_ [7]uint64 // pad to 64 bytes
-}
-
-// pageLeaf is one second-level block of owner slots.
-type pageLeaf [leafSize]atomic.Pointer[miniheap.MiniHeap]
+// baseVPN is the first virtual page number the page map covers: the map
+// is indexed by page offset from vm.ArenaBase. At ~10 pages consumed per
+// span allocation, its pagemap.MaxPages capacity is good for ~400M span
+// allocations over an arena's lifetime.
+const baseVPN = vm.ArenaBase >> vm.PageShift
 
 // Arena owns span allocation for one heap. All methods are safe for
 // concurrent use. The mutex guards only the dirty-span reuse bins; the
@@ -84,12 +53,14 @@ type Arena struct {
 	threshold   int
 	spanRelease uint64 // count of spans released (stats)
 
-	lookups [lookupStripes]stripedCount // Lookup calls (stats.arena.lookups)
+	// lookups counts Lookup calls (stats.arena.lookups), striped by page
+	// number, which distributes by span and therefore by the per-worker
+	// size classes that dominate traffic.
+	lookups counter.Striped
 
-	// root is the first radix level. Leaves are allocated on first use and
-	// never reclaimed (the bump-pointer address space is never reused, so a
-	// leaf stays valid forever once published).
-	root [rootSize]atomic.Pointer[pageLeaf]
+	// owners maps each page, by offset from vm.ArenaBase, to the
+	// MiniHeap that owns it.
+	owners pagemap.Map[miniheap.MiniHeap]
 }
 
 // New creates an arena on top of os. threshold is the dirty-page punch
@@ -154,28 +125,6 @@ func (a *Arena) AllocSpan(pages int) (vbase uint64, phys vm.PhysID, reused bool,
 	return vbase, phys, false, nil
 }
 
-// slot returns the page-map slot for one virtual page number, allocating
-// the leaf on first touch. Concurrent first touches race benignly: the
-// loser's leaf is discarded by the CompareAndSwap and the published one is
-// reloaded.
-func (a *Arena) slot(vpn uint64) *atomic.Pointer[miniheap.MiniHeap] {
-	if vpn < baseVPN || vpn-baseVPN >= maxPages {
-		panic(fmt.Sprintf("arena: page %#x outside the page map's %d-page range", vpn, maxPages))
-	}
-	off := vpn - baseVPN
-	head := &a.root[off>>leafBits]
-	leaf := head.Load()
-	for leaf == nil {
-		fresh := new(pageLeaf)
-		if head.CompareAndSwap(nil, fresh) {
-			leaf = fresh
-		} else {
-			leaf = head.Load()
-		}
-	}
-	return &leaf[off&leafMask]
-}
-
 // Register records mh as the owner of the span at vbase, enabling
 // constant-time pointer-to-MiniHeap lookup. Ownership is published with
 // atomic stores; callers must ensure the span's address has not been handed
@@ -183,9 +132,9 @@ func (a *Arena) slot(vpn uint64) *atomic.Pointer[miniheap.MiniHeap] {
 // class's shard lock (meshing's Reassign), so lock-free readers never act
 // on a half-updated span.
 func (a *Arena) Register(vbase uint64, pages int, mh *miniheap.MiniHeap) {
-	vpn := vbase >> vm.PageShift
+	off := vbase>>vm.PageShift - baseVPN
 	for i := uint64(0); i < uint64(pages); i++ {
-		a.slot(vpn + i).Store(mh)
+		a.owners.Slot(off + i).Store(mh)
 	}
 }
 
@@ -194,9 +143,9 @@ func (a *Arena) Register(vbase uint64, pages int, mh *miniheap.MiniHeap) {
 // lookups racing a span teardown resolve to nil and are discarded as
 // invalid frees, never to a recycled owner.
 func (a *Arena) Unregister(vbase uint64, pages int) {
-	vpn := vbase >> vm.PageShift
+	off := vbase>>vm.PageShift - baseVPN
 	for i := uint64(0); i < uint64(pages); i++ {
-		a.slot(vpn + i).Store(nil)
+		a.owners.Slot(off + i).Store(nil)
 	}
 }
 
@@ -215,26 +164,12 @@ func (a *Arena) Unregister(vbase uint64, pages int) {
 //mesh:lockfree
 func (a *Arena) Lookup(addr uint64) *miniheap.MiniHeap {
 	vpn := addr >> vm.PageShift
-	a.lookups[vpn%lookupStripes].n.Add(1)
-	if vpn < baseVPN || vpn-baseVPN >= maxPages {
-		return nil
-	}
-	off := vpn - baseVPN
-	leaf := a.root[off>>leafBits].Load()
-	if leaf == nil {
-		return nil
-	}
-	return leaf[off&leafMask].Load()
+	a.lookups.Inc(vpn)
+	return a.owners.Load(vpn - baseVPN)
 }
 
 // Lookups returns the number of Lookup calls served (stats.arena.lookups).
-func (a *Arena) Lookups() uint64 {
-	var n uint64
-	for i := range a.lookups {
-		n += a.lookups[i].n.Load()
-	}
-	return n
-}
+func (a *Arena) Lookups() uint64 { return a.lookups.Load() }
 
 // ReleaseSpan unmaps the virtual span at vbase and, if that drops the last
 // mapping of its physical span, parks the physical span in the dirty bins

@@ -71,8 +71,8 @@ type Config struct {
 	MeshCopyCost time.Duration
 }
 
-// Runtime-knob defaults, stored at construction. Meshing and the
-// memory-limit backpressure ladder also start enabled.
+// Runtime-knob defaults, stored at construction. Meshing also starts
+// enabled.
 const (
 	// DefaultMeshPeriod is the minimum interval between meshing passes
 	// (§4.5: at most once every 0.1 s).
@@ -387,10 +387,9 @@ type GlobalHeap struct {
 	frees       atomic.Uint64
 	invalidFree atomic.Uint64
 
-	// OOM backpressure state: the runtime enable knob and the count of
-	// limit hits the ladder recovered (stats.oom.recoveries).
-	oomBackpressure atomic.Bool
-	oomRecoveries   atomic.Uint64
+	// Limit hits the OOM backpressure ladder recovered
+	// (stats.oom.recoveries).
+	oomRecoveries atomic.Uint64
 
 	// Message-passing remote-free state (remote.go): the queued/drained
 	// counters behind stats.remote.*.
@@ -430,7 +429,6 @@ func NewGlobalHeap(cfg Config) *GlobalHeap {
 	g.meshPeriod.Store(int64(DefaultMeshPeriod))
 	g.minSavings.Store(DefaultMinMeshSavings)
 	g.maxPause.Store(int64(DefaultMaxPause))
-	g.oomBackpressure.Store(true)
 	for c := range g.classes {
 		cs := &g.classes[c]
 		// Per-class RNG streams derived from the seed: deterministic runs
@@ -653,9 +651,6 @@ func (g *GlobalHeap) allocSpanPressured(pages int) (uint64, vm.PhysID, bool, err
 	if err == nil || !errors.Is(err, vm.ErrOutOfMemory) {
 		return vbase, phys, reused, err
 	}
-	if !g.oomBackpressure.Load() {
-		return 0, 0, false, fmt.Errorf("%w: %w", ErrOutOfMemory, err)
-	}
 	g.arena.FlushDirty()
 	released := g.Mesh()
 	vbase, phys, reused, err = g.arena.AllocSpan(pages)
@@ -673,13 +668,6 @@ func (g *GlobalHeap) allocSpanPressured(pages int) (uint64, vm.PhysID, bool, err
 // Faults returns the heap's fault-injection plane, for the fault.*
 // control surface and the meshd daemon's injection sites.
 func (g *GlobalHeap) Faults() *faultinject.Plane { return g.faults }
-
-// SetOOMBackpressure toggles the memory-limit degradation ladder at
-// runtime (the oom.backpressure control).
-func (g *GlobalHeap) SetOOMBackpressure(on bool) { g.oomBackpressure.Store(on) }
-
-// OOMBackpressure reports whether the ladder is enabled.
-func (g *GlobalHeap) OOMBackpressure() bool { return g.oomBackpressure.Load() }
 
 // OOMRecoveries returns the number of memory-limit hits the
 // backpressure ladder recovered (stats.oom.recoveries).

@@ -375,20 +375,20 @@ func (g *GlobalHeap) Harden() *harden.Plane { return g.harden }
 // (stats.harden.*).
 func (g *GlobalHeap) HardenStats() harden.Stats { return g.harden.Snapshot() }
 
-// AuditSlice is the background corruption auditor: walk up to the plane's
-// per-wake span budget (harden.audit_spans) of detached, unpinned hardened
-// spans, verifying every live slot's canary, every free slot's poison
-// fill, and the span's page-map registration. A failed span is retired in
-// place. The walk is resumable — a packed (class, registry index) cursor
-// carries position between wakes — so coverage is incremental and each
-// wake's shard-lock holds stay short. Returns the spans walked and the
-// violations found this slice. Called by the meshd daemon; safe (but
-// pointless) to call concurrently.
+// AuditSlice is the background corruption auditor: walk up to
+// harden.AuditSpans detached, unpinned hardened spans, verifying every
+// live slot's canary, every free slot's poison fill, and the span's
+// page-map registration. A failed span is retired in place. The walk is
+// resumable — a packed (class, registry index) cursor carries position
+// between wakes — so coverage is incremental and each wake's shard-lock
+// holds stay short. Returns the spans walked and the violations found
+// this slice. Called by the meshd daemon; safe (but pointless) to call
+// concurrently.
 func (g *GlobalHeap) AuditSlice() (audited, violations int) {
-	budget := int(g.harden.AuditSpans())
-	if budget <= 0 || !g.harden.EverEnabled() {
+	if !g.harden.EverEnabled() {
 		return 0, 0
 	}
+	budget := harden.AuditSpans
 	cur := g.auditCursor.Load()
 	class := int(cur >> 32)
 	idx := int(cur & 0xffffffff)

@@ -40,15 +40,11 @@ const unboundedPause = time.Duration(math.MaxInt64)
 func (g *GlobalHeap) Mesh() int { return g.meshPass(unboundedPause) }
 
 // MeshBackground runs one meshing pass whose shard-lock holds are each
-// bounded by maxPause plus one pair's fix-up — the meshd daemon's unit of
-// work, so allocation and free latency does not grow with pass length.
-// maxPause <= 0 uses the runtime mesh.max_pause setting. It returns the
-// number of spans released.
-func (g *GlobalHeap) MeshBackground(maxPause time.Duration) int {
-	if maxPause <= 0 {
-		maxPause = time.Duration(g.maxPause.Load())
-	}
-	return g.meshPass(maxPause)
+// bounded by mesh.max_pause plus one pair's fix-up — the meshd daemon's
+// unit of work, so allocation and free latency does not grow with pass
+// length. It returns the number of spans released.
+func (g *GlobalHeap) MeshBackground() int {
+	return g.meshPass(time.Duration(g.maxPause.Load()))
 }
 
 // maybeMesh applies §4.5's rate limiting after a free (or free batch) has

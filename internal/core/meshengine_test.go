@@ -132,7 +132,8 @@ func TestMeshBackgroundBoundedPauses(t *testing.T) {
 	gb, thb := testHeap(t, mutate)
 	gb.SetMeshPeriod(time.Hour)
 	keep := fragmentHeap(t, gb, thb, spans)
-	bgReleased := gb.MeshBackground(maxPause)
+	gb.SetMaxPause(maxPause)
+	bgReleased := gb.MeshBackground()
 	if bgReleased != fgReleased {
 		t.Fatalf("background released %d spans, foreground %d (same seed, same workload)",
 			bgReleased, fgReleased)
@@ -243,7 +244,10 @@ func TestMeshBackgroundConcurrentWriters(t *testing.T) {
 		name string
 		run  func(g *GlobalHeap) int
 	}{
-		{"MeshBackground", func(g *GlobalHeap) int { return g.MeshBackground(100 * time.Microsecond) }},
+		{"MeshBackground", func(g *GlobalHeap) int {
+			g.SetMaxPause(100 * time.Microsecond)
+			return g.MeshBackground()
+		}},
 		{"Mesh", (*GlobalHeap).Mesh},
 	} {
 		t.Run(pass.name, func(t *testing.T) {
@@ -342,6 +346,6 @@ func BenchmarkMeshBackgroundPass(b *testing.B) {
 	fragmentHeap(b, g, th, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.MeshBackground(0)
+		g.MeshBackground()
 	}
 }

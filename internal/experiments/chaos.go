@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -83,99 +84,19 @@ func chaosRun(seed uint64, opsPerWorker int) (*ChaosRow, error) {
 		mesh.WithFaultPlan(ChaosPlan))
 	defer a.Close()
 
-	const workers = 4
 	sizes := []int{16, 16, 48, 256, 1024, mesh.MaxSmallSize, mesh.MaxSmallSize * 2}
-
-	relay := make([]chan mesh.Ptr, workers)
-	for i := range relay {
-		relay[i] = make(chan mesh.Ptr, opsPerWorker)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		skipped  int
-		ops      int
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	var skipped atomic.Int64
+	typed := func(err error) bool {
+		if errors.Is(err, faultinject.ErrInjected) || errors.Is(err, mesh.ErrOutOfMemory) {
+			skipped.Add(1)
+			return true
 		}
-		mu.Unlock()
+		return false
 	}
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer close(relay[(w+1)%workers])
-			rng := rand.New(rand.NewSource(int64(seed)*1000 + int64(w)))
-			th := a.NewThread()
-			defer th.Close()
-			var local []mesh.Ptr
-			myOps, mySkipped := 0, 0
-			for i := 0; i < opsPerWorker; i++ {
-				p, err := th.Malloc(sizes[rng.Intn(len(sizes))])
-				if err != nil {
-					if errors.Is(err, faultinject.ErrInjected) || errors.Is(err, mesh.ErrOutOfMemory) {
-						mySkipped++
-						continue
-					}
-					fail(fmt.Errorf("worker %d: untyped malloc failure: %w", w, err))
-					return
-				}
-				myOps++
-				switch rng.Intn(3) {
-				case 0:
-					if err := th.Free(p); err != nil {
-						fail(fmt.Errorf("worker %d: free: %w", w, err))
-						return
-					}
-				case 1:
-					relay[(w+1)%workers] <- p
-				default:
-					local = append(local, p)
-				}
-				if i%8 == 0 {
-					for drained := false; !drained; {
-						select {
-						case q, ok := <-relay[w]:
-							if !ok {
-								drained = true
-							} else if err := th.Free(q); err != nil {
-								fail(fmt.Errorf("worker %d: remote free: %w", w, err))
-								return
-							}
-						default:
-							drained = true
-						}
-					}
-				}
-			}
-			for _, p := range local {
-				if err := th.Free(p); err != nil {
-					fail(fmt.Errorf("worker %d: drain free: %w", w, err))
-					return
-				}
-			}
-			mu.Lock()
-			ops += myOps
-			skipped += mySkipped
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	for _, ch := range relay {
-		for p := range ch {
-			if err := a.Free(p); err != nil {
-				fail(fmt.Errorf("relay drain free: %w", err))
-			}
-		}
-	}
-	wall := time.Since(start)
-	if firstErr != nil {
-		return nil, firstErr
+	none := func(error) bool { return false }
+	ops, wall, err := relayChurn(a, seed, opsPerWorker, sizes, typed, none, false)
+	if err != nil {
+		return nil, err
 	}
 
 	// Quiesce: stop the daemon, disarm the plane, settle the pooled heaps,
@@ -183,7 +104,7 @@ func chaosRun(seed uint64, opsPerWorker int) (*ChaosRow, error) {
 	if err := a.Close(); err != nil {
 		return nil, err
 	}
-	if err := a.Control("fault.enabled", false); err != nil {
+	if err := a.Control("fault.plan", ""); err != nil {
 		return nil, err
 	}
 	if err := a.Flush(); err != nil {
@@ -192,13 +113,12 @@ func chaosRun(seed uint64, opsPerWorker int) (*ChaosRow, error) {
 	a.Mesh()
 
 	st := a.Stats()
-	row := &ChaosRow{Seed: seed, Ops: ops, SkippedOps: skipped, Wall: wall,
+	row := &ChaosRow{Seed: seed, Ops: ops, SkippedOps: int(skipped.Load()), Wall: wall,
 		MeshPasses: st.Mesh.Passes, RemoteQueued: st.Remote.Queued,
 		RemoteDrained: st.Remote.Drained, Allocs: st.Allocs, Frees: st.Frees}
 	if wall > 0 {
 		row.OpsPerSec = float64(ops) / wall.Seconds()
 	}
-	var err error
 	if row.FaultsInjected, err = readU64(a, "stats.fault.injected"); err != nil {
 		return nil, err
 	}
@@ -217,6 +137,111 @@ func chaosRun(seed uint64, opsPerWorker int) (*ChaosRow, error) {
 	}
 	row.InvariantsOK = a.CheckIntegrity() == nil
 	return row, nil
+}
+
+// relayChurn is the workload both chaos suites run: four workers on
+// explicit Threads each make opsPerWorker mallocs of sizes drawn from
+// sizes, and free every object at once, through the next worker's relay
+// channel (a cross-thread free), or at the end of the run. A malloc error
+// mallocOK accepts skips that op and a free error freeOK accepts is
+// dropped; any other error ends the run and is returned. With write set,
+// one object in four gets an in-bounds write before its free. It returns
+// the mallocs that succeeded and the workers' wall time.
+func relayChurn(a *mesh.Allocator, seed uint64, opsPerWorker int, sizes []int,
+	mallocOK, freeOK func(error) bool, write bool) (ops int, wall time.Duration, err error) {
+	const workers = 4
+	relay := make([]chan mesh.Ptr, workers)
+	for i := range relay {
+		relay[i] = make(chan mesh.Ptr, opsPerWorker)
+	}
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+	)
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		mu.Unlock()
+	}
+	start := time.Now()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer close(relay[(w+1)%workers])
+			rng := rand.New(rand.NewSource(int64(seed)*1000 + int64(w)))
+			th := a.NewThread()
+			defer th.Close()
+			var local []mesh.Ptr
+			myOps := 0
+			for i := 0; i < opsPerWorker; i++ {
+				p, err := th.Malloc(sizes[rng.Intn(len(sizes))])
+				if err != nil {
+					if !mallocOK(err) {
+						fail(fmt.Errorf("worker %d: untyped malloc failure: %w", w, err))
+						return
+					}
+					continue
+				}
+				myOps++
+				// In-bounds writes exercise the poison/canary protocol
+				// legitimately: they must never trip a check.
+				if write && rng.Intn(4) == 0 {
+					if err := a.Write(p, []byte{byte(i), byte(i >> 8)}); err != nil {
+						fail(fmt.Errorf("worker %d: write: %w", w, err))
+						return
+					}
+				}
+				switch rng.Intn(3) {
+				case 0:
+					if err := th.Free(p); err != nil && !freeOK(err) {
+						fail(fmt.Errorf("worker %d: free: %w", w, err))
+						return
+					}
+				case 1:
+					relay[(w+1)%workers] <- p
+				default:
+					local = append(local, p)
+				}
+				if i%8 == 0 {
+					for drained := false; !drained; {
+						select {
+						case q, ok := <-relay[w]:
+							if !ok {
+								drained = true
+							} else if err := th.Free(q); err != nil && !freeOK(err) {
+								fail(fmt.Errorf("worker %d: remote free: %w", w, err))
+								return
+							}
+						default:
+							drained = true
+						}
+					}
+				}
+			}
+			for _, p := range local {
+				if err := th.Free(p); err != nil && !freeOK(err) {
+					fail(fmt.Errorf("worker %d: drain free: %w", w, err))
+					return
+				}
+			}
+			mu.Lock()
+			ops += myOps
+			mu.Unlock()
+		}(w)
+	}
+	wg.Wait()
+	for _, ch := range relay {
+		for p := range ch {
+			if err := a.Free(p); err != nil && !freeOK(err) {
+				fail(fmt.Errorf("relay drain free: %w", err))
+			}
+		}
+	}
+	return ops, time.Since(start), firstErr
 }
 
 // readU64 reads a uint64-valued control key.

@@ -3,8 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/mesh"
@@ -83,121 +82,22 @@ func hardenChaosRun(seed uint64, opsPerWorker int) (*HardenChaosRow, error) {
 		mesh.WithFaultPlan(HardenChaosPlan))
 	defer a.Close()
 
-	const workers = 4
 	sizes := []int{16, 48, 64, 256, 1024}
-
-	relay := make([]chan mesh.Ptr, workers)
-	for i := range relay {
-		relay[i] = make(chan mesh.Ptr, opsPerWorker)
-	}
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		firstErr  error
-		contained int
-		ops       int
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	// tolerate classifies a workload-surfaced error: a typed containment
-	// error is the designed outcome of an injection and is counted; OOM is
-	// tolerated; anything else (including a crash-turned-error) is fatal.
-	tolerate := func(err error, myContained *int) bool {
-		switch {
-		case errors.Is(err, mesh.ErrHeapCorruption):
-			*myContained++
+	// A typed containment error is the designed outcome of an injection
+	// and is counted; a malloc may also run out of memory; anything else
+	// (including a crash-turned-error) is fatal.
+	var contained atomic.Int64
+	corrupt := func(err error) bool {
+		if errors.Is(err, mesh.ErrHeapCorruption) {
+			contained.Add(1)
 			return true
-		case errors.Is(err, mesh.ErrOutOfMemory):
-			return true
-		default:
-			return false
 		}
+		return false
 	}
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer close(relay[(w+1)%workers])
-			rng := rand.New(rand.NewSource(int64(seed)*1000 + int64(w)))
-			th := a.NewThread()
-			defer th.Close()
-			var local []mesh.Ptr
-			myOps, myContained := 0, 0
-			for i := 0; i < opsPerWorker; i++ {
-				size := sizes[rng.Intn(len(sizes))]
-				p, err := th.Malloc(size)
-				if err != nil {
-					if !tolerate(err, &myContained) {
-						fail(fmt.Errorf("worker %d: untyped malloc failure: %w", w, err))
-						return
-					}
-					continue
-				}
-				myOps++
-				if rng.Intn(4) == 0 {
-					// In-bounds writes exercise the poison/canary protocol
-					// legitimately: they must never trip a check.
-					if err := a.Write(p, []byte{byte(i), byte(i >> 8)}); err != nil {
-						fail(fmt.Errorf("worker %d: write: %w", w, err))
-						return
-					}
-				}
-				switch rng.Intn(3) {
-				case 0:
-					if err := th.Free(p); err != nil && !tolerate(err, &myContained) {
-						fail(fmt.Errorf("worker %d: free: %w", w, err))
-						return
-					}
-				case 1:
-					relay[(w+1)%workers] <- p
-				default:
-					local = append(local, p)
-				}
-				if i%8 == 0 {
-					for drained := false; !drained; {
-						select {
-						case q, ok := <-relay[w]:
-							if !ok {
-								drained = true
-							} else if err := th.Free(q); err != nil && !tolerate(err, &myContained) {
-								fail(fmt.Errorf("worker %d: remote free: %w", w, err))
-								return
-							}
-						default:
-							drained = true
-						}
-					}
-				}
-			}
-			for _, p := range local {
-				if err := th.Free(p); err != nil && !tolerate(err, &myContained) {
-					fail(fmt.Errorf("worker %d: drain free: %w", w, err))
-					return
-				}
-			}
-			mu.Lock()
-			ops += myOps
-			contained += myContained
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	for _, ch := range relay {
-		for p := range ch {
-			if err := a.Free(p); err != nil && !errors.Is(err, mesh.ErrHeapCorruption) {
-				fail(fmt.Errorf("relay drain free: %w", err))
-			}
-		}
-	}
-	wall := time.Since(start)
-	if firstErr != nil {
-		return nil, firstErr
+	mallocOK := func(err error) bool { return corrupt(err) || errors.Is(err, mesh.ErrOutOfMemory) }
+	ops, wall, err := relayChurn(a, seed, opsPerWorker, sizes, mallocOK, corrupt, true)
+	if err != nil {
+		return nil, err
 	}
 
 	// Drive any unexhausted injection budget: every hardened free runs a
@@ -240,7 +140,7 @@ func hardenChaosRun(seed uint64, opsPerWorker int) (*HardenChaosRow, error) {
 	if err := a.Close(); err != nil {
 		return nil, err
 	}
-	if err := a.Control("fault.enabled", false); err != nil {
+	if err := a.Control("fault.plan", ""); err != nil {
 		return nil, err
 	}
 	if err := a.Flush(); err != nil {
@@ -250,7 +150,7 @@ func hardenChaosRun(seed uint64, opsPerWorker int) (*HardenChaosRow, error) {
 
 	st := a.Stats()
 	h := st.Harden
-	row := &HardenChaosRow{Seed: seed, Ops: ops, ContainedErrs: contained,
+	row := &HardenChaosRow{Seed: seed, Ops: ops, ContainedErrs: int(contained.Load()),
 		Wall: wall, ServedAfter: served, Checks: h.Checks,
 		Violations: h.Violations, Passes: h.Passes, Quarantined: h.Quarantined,
 		Settled: h.Settled, RetiredSpans: h.Retired, LostObjects: h.LostObjects,
@@ -258,7 +158,6 @@ func hardenChaosRun(seed uint64, opsPerWorker int) (*HardenChaosRow, error) {
 	if wall > 0 {
 		row.OpsPerSec = float64(ops) / wall.Seconds()
 	}
-	var err error
 	if row.FaultsInjected, err = readU64(a, "stats.fault.injected"); err != nil {
 		return nil, err
 	}

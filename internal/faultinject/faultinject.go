@@ -181,11 +181,11 @@ type siteState struct {
 }
 
 // Plane is one allocator's fault-injection state: a master switch, a
-// seed, and a per-site schedule. The zero Plane is unusable; call
-// NewPlane.
+// seed fixed at construction, and a per-site schedule. The zero Plane is
+// unusable; call NewPlane.
 type Plane struct {
 	enabled  atomic.Bool
-	seed     atomic.Uint64
+	seed     uint64
 	injected atomic.Uint64 // total injected failures across sites
 	sites    [numSites]siteState
 	tr       atomic.Pointer[trace.Source]
@@ -198,8 +198,7 @@ type Plane struct {
 
 // NewPlane returns a disabled plane with the given decision seed.
 func NewPlane(seed uint64) *Plane {
-	p := &Plane{}
-	p.seed.Store(seed)
+	p := &Plane{seed: seed}
 	empty := ""
 	p.plan.Store(&empty)
 	for i := range p.sites {
@@ -221,12 +220,6 @@ func (p *Plane) SetEnabled(on bool) { p.enabled.Store(on) }
 
 // Enabled reports the master switch.
 func (p *Plane) Enabled() bool { return p.enabled.Load() }
-
-// SetSeed replaces the decision seed (affects future evaluations).
-func (p *Plane) SetSeed(seed uint64) { p.seed.Store(seed) }
-
-// Seed returns the decision seed.
-func (p *Plane) Seed() uint64 { return p.seed.Load() }
 
 // Injected returns the total number of faults injected across all
 // sites.
@@ -392,7 +385,7 @@ func (p *Plane) eval(s Site) bool {
 	}
 	rate := st.rate.Load()
 	if rate > 1 {
-		h := splitmix64(p.seed.Load() ^ (uint64(s)+1)*0x9e3779b97f4a7c15 ^ n)
+		h := splitmix64(p.seed ^ (uint64(s)+1)*0x9e3779b97f4a7c15 ^ n)
 		if h%rate != 0 {
 			return false
 		}

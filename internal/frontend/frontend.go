@@ -155,16 +155,6 @@ func NewCache(g *core.GlobalHeap, borrow func() *core.ThreadHeap, ret func(*core
 	}
 }
 
-func clampMagObjects(n int) int {
-	if n < 0 {
-		return 0
-	}
-	if n > MaxMagazineObjects {
-		return MaxMagazineObjects
-	}
-	return n
-}
-
 // stripeOf returns the calling goroutine's stripe hint: a Fibonacci hash
 // of the caller's stack page. Goroutine stacks are page-grained and
 // long-lived relative to an allocator call, so consecutive calls from one
@@ -281,12 +271,12 @@ func (c *Cache) Flush() error {
 	return errors.Join(errs...)
 }
 
-// SetMagazineObjects sets the per-class magazine capacity (clamped to
-// [0, MaxMagazineObjects]) and flushes, retiring fronts built with the
-// old capacity; fronts created afterwards use the new one. 0 disables
+// SetMagazineObjects sets the per-class magazine capacity, which must
+// lie in [0, MaxMagazineObjects], and flushes, retiring fronts built with
+// the old capacity; fronts created afterwards use the new one. 0 disables
 // magazines while keeping the stripe layer.
 func (c *Cache) SetMagazineObjects(n int) error {
-	c.magObjects.Store(int64(clampMagObjects(n)))
+	c.magObjects.Store(int64(n))
 	return c.Flush()
 }
 

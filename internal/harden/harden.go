@@ -99,10 +99,6 @@ type Plane struct {
 	flags  atomic.Uint32
 	secret uint64 // canary keying material, fixed at construction
 
-	// auditSpans is the background auditor's per-wake span budget
-	// (harden.audit_spans); 0 disables the auditor slice.
-	auditSpans atomic.Int64
-
 	// checks is derived (violations + passes) rather than stored: one
 	// atomic add per verification instead of two keeps the hardened fast
 	// paths cheap, and the checks == violations + passes relation holds by
@@ -118,15 +114,13 @@ type Plane struct {
 	audited     atomic.Uint64 // spans walked by the background auditor
 }
 
-// DefaultAuditSpans is the auditor's span budget per daemon wake when
-// hardening is enabled and harden.audit_spans has not been set.
-const DefaultAuditSpans = 8
+// AuditSpans is the background auditor's span budget per daemon wake
+// once hardening has been enabled.
+const AuditSpans = 8
 
 // NewPlane returns a disabled plane keyed by seed.
 func NewPlane(seed uint64) *Plane {
-	p := &Plane{secret: splitmix64(seed ^ 0x6861726465)} // "harde"
-	p.auditSpans.Store(DefaultAuditSpans)
-	return p
+	return &Plane{secret: splitmix64(seed ^ 0x6861726465)} // "harde"
 }
 
 // Canary returns the guard word for slot off of a span in size class
@@ -184,12 +178,6 @@ func (p *Plane) setFlag(bit uint32, on bool) {
 		}
 	}
 }
-
-// SetAuditSpans sets the background auditor's per-wake span budget.
-func (p *Plane) SetAuditSpans(n int64) { p.auditSpans.Store(n) }
-
-// AuditSpans returns the auditor's per-wake span budget.
-func (p *Plane) AuditSpans() int64 { return p.auditSpans.Load() }
 
 // NotePass records one verification that found no corruption.
 //

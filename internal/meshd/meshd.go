@@ -158,7 +158,7 @@ func (d *Daemon) Nudge() {
 // for tests and experiments. It is safe alongside a running daemon (passes
 // serialize on the mesh barrier per size class).
 func (d *Daemon) RunPass() int {
-	released := d.g.MeshBackground(0)
+	released := d.g.MeshBackground()
 	d.spansReleased.Add(uint64(released))
 	return released
 }
@@ -279,12 +279,11 @@ func (d *Daemon) runTraced(reason uint64) {
 	d.tr.Event(trace.EvDaemonWake, reason, uint64(released))
 }
 
-// auditSlice runs one background corruption-auditor slice: up to the
-// heap's harden.audit_spans budget of detached hardened spans get their
-// canaries, poison fills, and page-map registrations verified (and corrupt
-// ones retired) per daemon wake. AuditSlice itself is a no-op while
-// hardening has never been enabled, so the unhardened daemon pays one
-// atomic load per wake.
+// auditSlice runs one background corruption-auditor slice: up to
+// harden.AuditSpans detached hardened spans get their canaries, poison
+// fills, and page-map registrations verified (and corrupt ones retired)
+// per daemon wake. AuditSlice itself is a no-op while hardening has never
+// been enabled, so the unhardened daemon pays one atomic load per wake.
 func (d *Daemon) auditSlice() {
 	if audited, _ := d.g.AuditSlice(); audited > 0 {
 		d.auditSlices.Add(1)

@@ -228,11 +228,11 @@ const (
 	DefaultSampleRate = 64
 	// DefaultBufferEvents is the per-source ring capacity.
 	DefaultBufferEvents = 4096
-	// MinBufferEvents floors trace.buffer_events; tiny rings are only
-	// useful to tests, which construct them directly.
+	// MinBufferEvents is trace.buffer_events' lower bound; tiny rings
+	// are only useful to tests, which construct them directly.
 	MinBufferEvents = 64
-	// MaxBufferEvents caps trace.buffer_events (16 Mi events ≈ 640 MiB
-	// of slots — far past any sane setting).
+	// MaxBufferEvents is trace.buffer_events' upper bound (16 Mi events
+	// ≈ 640 MiB of slots — far past any sane setting).
 	MaxBufferEvents = 1 << 24
 )
 
@@ -325,31 +325,18 @@ func (r *Recorder) SetEnabled(on bool) { r.enabled.Store(on) }
 func (r *Recorder) Enabled() bool { return r.enabled.Load() }
 
 // SetSampleRate sets the 1-in-n sampling of Sampled emissions (alloc and
-// free events); n < 1 is clamped to 1 (record everything). Unsampled
-// events (Source.Event) ignore it.
-func (r *Recorder) SetSampleRate(n int64) {
-	if n < 1 {
-		n = 1
-	}
-	r.sampleRate.Store(n)
-}
+// free events); n must be at least 1, and 1 records everything.
+// Unsampled events (Source.Event) ignore it.
+func (r *Recorder) SetSampleRate(n int64) { r.sampleRate.Store(n) }
 
 // SampleRate returns the current 1-in-n sampling rate.
 func (r *Recorder) SampleRate() int64 { return r.sampleRate.Load() }
 
 // SetBufferEvents sets the capacity, in events, of rings created after
-// the call (a source allocates its ring on first recording). The value is
-// clamped to [MinBufferEvents, MaxBufferEvents] and rounded up to a power
-// of two; existing rings keep their size.
-func (r *Recorder) SetBufferEvents(n int64) {
-	if n < MinBufferEvents {
-		n = MinBufferEvents
-	}
-	if n > MaxBufferEvents {
-		n = MaxBufferEvents
-	}
-	r.bufEvents.Store(int64(ringCapacity(int(n))))
-}
+// the call (a source allocates its ring on first recording). n must lie
+// in [MinBufferEvents, MaxBufferEvents]; it is rounded up to a power of
+// two, and existing rings keep their size.
+func (r *Recorder) SetBufferEvents(n int64) { r.bufEvents.Store(int64(ringCapacity(int(n)))) }
 
 // BufferEvents returns the capacity applied to newly created rings.
 func (r *Recorder) BufferEvents() int64 { return r.bufEvents.Load() }

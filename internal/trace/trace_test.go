@@ -79,14 +79,6 @@ func TestSampling(t *testing.T) {
 
 func TestSampleRateClamp(t *testing.T) {
 	r := NewRecorder(&tick{})
-	r.SetSampleRate(0)
-	if r.SampleRate() != 1 {
-		t.Fatalf("rate 0 should clamp to 1, got %d", r.SampleRate())
-	}
-	r.SetBufferEvents(1)
-	if r.BufferEvents() != MinBufferEvents {
-		t.Fatalf("buffer 1 should clamp to %d, got %d", MinBufferEvents, r.BufferEvents())
-	}
 	r.SetBufferEvents(100)
 	if r.BufferEvents() != 128 {
 		t.Fatalf("buffer 100 should round to 128, got %d", r.BufferEvents())

@@ -7,7 +7,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/pagemap"
 )
+
+// leafPages is the number of pages one internal/pagemap leaf covers.
+const leafPages = 1 << 15
 
 // TestRadixTableEdgeCases drives translation through the radix table's
 // corners: address 0 and other wild pointers below the arena base, unmapped
@@ -25,7 +30,7 @@ func TestRadixTableEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	topOfArena := uint64(baseVPN+maxPages) << PageShift
+	topOfArena := uint64(baseVPN+pagemap.MaxPages) << PageShift
 
 	cases := []struct {
 		name    string
@@ -44,7 +49,7 @@ func TestRadixTableEdgeCases(t *testing.T) {
 		{"guard gap", v1 + 2*PageSize, 1, ErrUnmapped},
 		{"second reservation", v2, PageSize, nil},
 		{"far unmapped page", v2 + 100*PageSize, 1, ErrUnmapped},
-		{"unallocated leaf", ArenaBase + (leafSize*3)<<PageShift, 1, ErrUnmapped},
+		{"unallocated leaf", ArenaBase + (leafPages*3)<<PageShift, 1, ErrUnmapped},
 		{"last page of table", topOfArena - PageSize, 1, ErrUnmapped},
 		{"top of arena range", topOfArena, 1, ErrUnmapped},
 		{"beyond table range", topOfArena + 42*PageSize, 1, ErrUnmapped},
@@ -69,7 +74,7 @@ func TestRadixTableEdgeCases(t *testing.T) {
 
 	// A span mapped at the very edge of a leaf must translate across the
 	// leaf boundary with a run that spans two leaves.
-	edgeVPN := uint64(baseVPN + 2*leafSize - 1)
+	edgeVPN := uint64(baseVPN + 2*leafPages - 1)
 	edge := edgeVPN << PageShift
 	if _, err := o.Commit(edge, 2); err != nil {
 		t.Fatal(err)

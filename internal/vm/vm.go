@@ -18,7 +18,7 @@
 // # Lock-free translation
 //
 // The page table is a two-level radix tree of atomic.Pointer[pte] slots
-// (tcmalloc-pagemap style, mirroring internal/arena's offset-to-MiniHeap
+// (internal/pagemap, the same map as internal/arena's offset-to-MiniHeap
 // map). Published pte values are immutable and cache the backing span's
 // []byte directly, so the data path — Read, Write, ByteAt, SetByte, Memset,
 // ProtAt — translates with two atomic loads and indexes straight into the
@@ -63,7 +63,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/counter"
 	"repro/internal/faultinject"
+	"repro/internal/pagemap"
 	"repro/internal/trace"
 )
 
@@ -130,35 +132,11 @@ type pte struct {
 	wr *atomic.Int64
 }
 
-// Page-table geometry: virtual page numbers relative to ArenaBase index a
-// two-level radix tree — rootBits select a lazily allocated leaf, leafBits
-// select the slot inside it (identical to internal/arena's page map).
-// 17+15 bits of VPN cover 16 TiB of address space above the arena base;
-// Reserve's bump pointer never reuses addresses, so this is a hard
-// capacity, checked when a mapping is established.
-const (
-	leafBits = 15
-	leafSize = 1 << leafBits
-	leafMask = leafSize - 1
-	rootBits = 17
-	rootSize = 1 << rootBits
-	maxPages = 1 << (rootBits + leafBits)
-	baseVPN  = ArenaBase >> PageShift
-)
-
-// pteLeaf is one second-level block of page-table slots.
-type pteLeaf [leafSize]atomic.Pointer[pte]
-
-// translationStripes spreads the translation counter over several cache
-// lines so the data-path fast path never shares one hot line across
-// workers (same trick as the arena's lookup counter).
-const translationStripes = 32
-
-// stripedCount is one padded counter stripe (its own cache line).
-type stripedCount struct {
-	n atomic.Uint64
-	_ [7]uint64 // pad to 64 bytes
-}
+// baseVPN is the first virtual page number the page table covers: the
+// table is indexed by page offset from ArenaBase. Reserve's bump pointer
+// never reuses addresses, so pagemap.MaxPages is a hard capacity, checked
+// when a mapping is established.
+const baseVPN = ArenaBase >> PageShift
 
 // Stats counts VM operations; the benchmark harness reports these to explain
 // where meshing's overhead comes from (system calls and copies, §6.3).
@@ -190,10 +168,8 @@ type OS struct {
 	// even value when it completes. Lock-free accesses validate it.
 	gen atomic.Uint64
 
-	// root is the first radix level. Leaves are allocated on first use and
-	// never reclaimed (the bump-pointer address space is never reused, so
-	// a leaf stays valid forever once published).
-	root [rootSize]atomic.Pointer[pteLeaf]
+	// ptes is the page table, indexed by page offset from ArenaBase.
+	ptes pagemap.Map[pte]
 
 	nextVirt atomic.Uint64 // bump pointer for Reserve, in pages
 
@@ -209,7 +185,7 @@ type OS struct {
 	statFaults       atomic.Uint64
 	statBytesCopied  atomic.Uint64
 	statRetries      atomic.Uint64
-	statTranslations [translationStripes]stripedCount
+	statTranslations counter.Striped // by page number: no hot line shared on the data path
 
 	// faultHook is invoked (with no VM locks held) when a write hits a
 	// read-only page. It should block until the page becomes writable
@@ -288,44 +264,15 @@ func (o *OS) Reserve(pages int) uint64 {
 }
 
 // slot returns the page-table slot for one virtual page number, allocating
-// the leaf on first touch. Concurrent first touches race benignly: the
-// loser's leaf is discarded by the CompareAndSwap and the published one is
-// reloaded. Panics outside the radix table's 16 TiB range — the same hard
-// capacity as the arena's page map.
-func (o *OS) slot(vpn uint64) *atomic.Pointer[pte] {
-	if vpn < baseVPN || vpn-baseVPN >= maxPages {
-		panic(fmt.Sprintf("vm: page %#x outside the page table's %d-page range", vpn, maxPages))
-	}
-	off := vpn - baseVPN
-	head := &o.root[off>>leafBits]
-	leaf := head.Load()
-	for leaf == nil {
-		fresh := new(pteLeaf)
-		if head.CompareAndSwap(nil, fresh) {
-			leaf = fresh
-		} else {
-			leaf = head.Load()
-		}
-	}
-	return &leaf[off&leafMask]
-}
+// its leaf on first touch. Panics outside the table's 16 TiB range.
+func (o *OS) slot(vpn uint64) *atomic.Pointer[pte] { return o.ptes.Slot(vpn - baseVPN) }
 
 // peek loads the page-table entry for one virtual page with two atomic
 // loads, or nil when the page is unmapped (or outside the table's range —
 // address 0 and other wild pointers resolve to nil, not a panic).
 //
 //mesh:lockfree
-func (o *OS) peek(vpn uint64) *pte {
-	if vpn < baseVPN || vpn-baseVPN >= maxPages {
-		return nil
-	}
-	off := vpn - baseVPN
-	leaf := o.root[off>>leafBits].Load()
-	if leaf == nil {
-		return nil
-	}
-	return leaf[off&leafMask].Load()
-}
+func (o *OS) peek(vpn uint64) *pte { return o.ptes.Load(vpn - baseVPN) }
 
 // beginUpdate opens a translation-changing page-table mutation: the
 // generation becomes odd, making concurrent lock-free accesses spin until
@@ -352,9 +299,7 @@ func (o *OS) noteRetry() {
 // retries/translations health ratio keeps a clean denominator.
 //
 //mesh:lockfree
-func (o *OS) noteTranslation(vpn uint64) {
-	o.statTranslations[vpn%translationStripes].n.Add(1)
-}
+func (o *OS) noteTranslation(vpn uint64) { o.statTranslations.Inc(vpn) }
 
 // resolveRun translates addr and extends the translation across subsequent
 // pages while they stay in the same physical span at consecutive offsets
@@ -1047,13 +992,7 @@ func (o *OS) MappedBytes() int64 { return o.mappedPages.Load() * PageSize }
 // Translations returns the number of lock-free data-path translations
 // served (stats.vm.translations) — one per page run, the VM-side analogue
 // of the arena's lookup counter.
-func (o *OS) Translations() uint64 {
-	var n uint64
-	for i := range o.statTranslations {
-		n += o.statTranslations[i].n.Load()
-	}
-	return n
-}
+func (o *OS) Translations() uint64 { return o.statTranslations.Load() }
 
 // Retries returns the number of seqlock retries taken by the data path
 // (stats.vm.retries) — accesses discarded because they raced a page-table

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/frontend"
+	"repro/internal/trace"
 )
 
 // This file implements the unified runtime-control surface, modeled on the
@@ -93,8 +94,6 @@ var controls = []control{
 		func(a *Allocator) any { return int(a.pool.idle.Load()) }),
 	stat("pool.created", "Thread heaps ever created by the pool.",
 		func(a *Allocator) any { return int(a.pool.created.Load()) }),
-	action("pool.flush", "Relinquish idle pooled heaps.",
-		func(a *Allocator) error { return a.pool.flush() }),
 	integer("frontend.magazine_objects", "Per-size-class magazine capacity in objects; 0 is off. Writing flushes cached fronts.", 0, frontend.MaxMagazineObjects,
 		func(a *Allocator) any { return a.front.MagazineObjects() },
 		func(a *Allocator, n int64) error { return a.front.SetMagazineObjects(int(n)) }),
@@ -142,16 +141,13 @@ var controls = []control{
 	integer("trace.sample_rate", "Record 1 in n alloc/free events; other kinds are unsampled.", 1, unbounded,
 		func(a *Allocator) any { return int(a.g.Tracer().SampleRate()) },
 		func(a *Allocator, n int64) error { a.g.Tracer().SetSampleRate(n); return nil }),
-	integer("trace.buffer_events", "Per-source ring capacity in events, rounded up to a power of two; applies to rings created after the write.", 1, unbounded,
+	integer("trace.buffer_events", "Per-source ring capacity in events, rounded up to a power of two; applies to rings created after the write.", trace.MinBufferEvents, trace.MaxBufferEvents,
 		func(a *Allocator) any { return int(a.g.Tracer().BufferEvents()) },
 		func(a *Allocator, n int64) error { a.g.Tracer().SetBufferEvents(n); return nil }),
 	stat("trace.offered", "Trace events accepted for recording, after sampling.",
 		func(a *Allocator) any { return a.g.Tracer().Offered() }),
 	stat("trace.dropped", "Offered trace events lost to ring wraparound.",
 		func(a *Allocator) any { return a.g.Tracer().Dropped() }),
-	flag("fault.enabled", "Fault-injection master switch; a disabled plane never injects.",
-		func(a *Allocator) bool { return a.g.Faults().Enabled() },
-		func(a *Allocator, b bool) { a.g.Faults().SetEnabled(b) }),
 	{
 		name: "fault.plan",
 		help: "Fault plan spec (internal/faultinject grammar); a non-empty plan arms and enables the plane, \"\" disarms and disables it.",
@@ -166,19 +162,12 @@ var controls = []control{
 			}
 			// A plan write is the whole gesture: arming an empty plane or
 			// leaving a fresh plan disabled are both foot-guns, so the
-			// master switch follows the spec. fault.enabled remains for
-			// pausing an armed plan without losing it.
+			// master switch follows the spec.
 			a.g.Faults().SetEnabled(spec != "")
 			return nil
 		},
 		noExport: true,
 	},
-	integer("fault.seed", "Decision seed of the fault plane; schedules replay from it. Defaults to the allocator seed.", 0, unbounded,
-		func(a *Allocator) any { return a.g.Faults().Seed() },
-		func(a *Allocator, n int64) error { a.g.Faults().SetSeed(uint64(n)); return nil }),
-	flag("oom.backpressure", "Memory-limit degradation ladder on: flush dirty bins, emergency mesh, retry once, then ErrOutOfMemory.",
-		func(a *Allocator) bool { return a.g.OOMBackpressure() },
-		func(a *Allocator, b bool) { a.g.SetOOMBackpressure(b) }),
 	flag("harden.enabled", "Heap hardening on: canaries and poison-on-free on spans minted while on.",
 		func(a *Allocator) bool { return a.g.Harden().Enabled() },
 		func(a *Allocator, b bool) { a.g.Harden().SetEnabled(b) }),
@@ -192,9 +181,6 @@ var controls = []control{
 			}
 			a.g.Harden().SetQuarantine(b)
 		}),
-	integer("harden.audit_spans", "Background auditor's span budget per daemon wake; 0 disables the auditor.", 0, unbounded,
-		func(a *Allocator) any { return int(a.g.Harden().AuditSpans()) },
-		func(a *Allocator, n int64) error { a.g.Harden().SetAuditSpans(n); return nil }),
 	stat("stats.harden.checks", "Hardening verifications performed (canary and poison).",
 		func(a *Allocator) any { return a.g.HardenStats().Checks }),
 	stat("stats.harden.violations", "Verifications that found corruption.",

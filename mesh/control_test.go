@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/frontend"
+	"repro/internal/trace"
 )
 
 // TestControlKeyTable exercises every control key: round-trips for
@@ -34,7 +35,6 @@ func TestControlKeyTable(t *testing.T) {
 		{key: "os.memory_limit", set: int64(1 << 20), want: int64(1 << 20), readback: true},
 		{key: "pool.idle", want: 0, readback: true},
 		{key: "pool.created", want: 0, readback: true},
-		{key: "pool.flush", set: struct{}{}},
 		{key: "frontend.magazine_objects", set: 64, want: 64, readback: true},
 		// No Allocator-level call has run, so the stripes are untouched.
 		{key: "stats.frontend.hits", want: uint64(0), readback: true},
@@ -63,21 +63,15 @@ func TestControlKeyTable(t *testing.T) {
 		{key: "stats.pool.returns", want: uint64(0), readback: true},
 		{key: "trace.enabled", set: true, want: true, readback: true},
 		{key: "trace.sample_rate", set: 8, want: 8, readback: true},
-		// Sub-minimum buffer sizes clamp up, larger values round to the
-		// next power of two.
+		// Buffer sizes round up to the next power of two.
 		{key: "trace.buffer_events", set: 3000, want: 4096, readback: true},
 		{key: "trace.offered", want: uint64(0), readback: true},
 		{key: "trace.dropped", want: uint64(0), readback: true},
 		// A zero-budget clause arms the site but can never fire, so the
-		// plan write (which also enables the plane) is inert here. The
-		// fault.enabled case after it doubles as the pause switch check.
+		// plan write (which also enables the plane) is inert here.
 		{key: "fault.plan", set: "meshd.stall:count=0", want: "meshd.stall:count=0", readback: true},
-		{key: "fault.enabled", set: false, want: false, readback: true},
-		{key: "fault.seed", set: 42, want: uint64(42), readback: true},
-		{key: "oom.backpressure", set: true, want: true, readback: true},
 		{key: "harden.enabled", set: true, want: true, readback: true},
 		{key: "harden.quarantine", set: true, want: true, readback: true},
-		{key: "harden.audit_spans", set: 4, want: 4, readback: true},
 		{key: "debug.check_invariants", want: "", readback: true},
 		{key: "stats.fault.injected", want: uint64(0), readback: true},
 		{key: "stats.oom.recoveries", want: uint64(0), readback: true},
@@ -161,13 +155,12 @@ func TestControlBadTypes(t *testing.T) {
 		{"os.memory_limit", PageSize - 1},
 		{"trace.sample_rate", 0},
 		{"trace.buffer_events", 0},
+		{"trace.buffer_events", trace.MinBufferEvents - 1},
+		{"trace.buffer_events", int64(1 << 40)},
 		{"fault.plan", "bogus.site:rate=2"},   // unknown site
 		{"fault.plan", "vm.commit:rate=0"},    // rate must be >= 1
 		{"fault.plan", "vm.commit:bogus=1"},   // unknown clause key
 		{"fault.plan", "vm.commit:mode=soft"}, // unknown mode
-		{"fault.seed", int64(-1)},
-		{"fault.seed", uint64(1 << 63)},
-		{"harden.audit_spans", int64(-1)},
 		{"frontend.magazine_objects", int64(-1)},
 		{"frontend.magazine_objects", frontend.MaxMagazineObjects + 1},
 	}
@@ -202,24 +195,20 @@ func TestControlBadTypes(t *testing.T) {
 	if got, _ := a.ReadControl("fault.plan"); got != "meshd.stall:count=0" {
 		t.Fatalf("rejected plan write clobbered the plan: %q", got)
 	}
-	if got, _ := a.ReadControl("fault.enabled"); got != true {
-		t.Fatalf("rejected plan write flipped fault.enabled to %v", got)
+	if !a.g.Faults().Enabled() {
+		t.Fatal("rejected plan write disabled the fault plane")
 	}
 
 	// Rejected harden.* writes must leave the plane untouched, like the
 	// fault.* surface: the wrong-type writes above never flipped the
-	// enable bit, and a rejected budget write keeps the previous budget.
+	// enable bit.
 	if got, _ := a.ReadControl("harden.enabled"); got != false {
 		t.Fatalf("rejected harden.enabled writes flipped the switch to %v", got)
 	}
-	if err := a.Control("harden.audit_spans", 16); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Control("harden.audit_spans", int64(-5)); !errors.Is(err, ErrControlType) {
-		t.Fatalf("negative harden.audit_spans = %v, want ErrControlType", err)
-	}
-	if got, _ := a.ReadControl("harden.audit_spans"); got != 16 {
-		t.Fatalf("rejected harden.audit_spans write clobbered the budget: %v", got)
+
+	// The out-of-range buffer sizes above were rejected, not clamped.
+	if got, _ := a.ReadControl("trace.buffer_events"); got != trace.DefaultBufferEvents {
+		t.Fatalf("rejected trace.buffer_events writes changed the capacity to %v", got)
 	}
 
 	// Same for the front end: rejected writes leave the capacity

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/vm"
 )
 
 // requireCleanInvariants runs the full heap invariant check through the
@@ -95,7 +96,7 @@ func TestMeshAbortEachPhase(t *testing.T) {
 
 					// Disarm and retry: the abort must not have consumed or
 					// wedged the meshing opportunity.
-					if err := a.Control("fault.enabled", false); err != nil {
+					if err := a.Control("fault.plan", ""); err != nil {
 						t.Fatal(err)
 					}
 					if released := a.Mesh(); released == 0 {
@@ -179,11 +180,12 @@ func TestMeshdPanicRestarts(t *testing.T) {
 
 // TestOOMBackpressure pins the degradation ladder. A fragmented heap is
 // clamped to exactly its current resident size; the next span-demanding
-// allocation then must fail typed (ladder off) and succeed by
-// drain→flush→emergency-mesh→retry (ladder on) — compaction as the OOM
-// escape hatch, the paper's motivating scenario.
+// allocation then must succeed by drain→flush→emergency-mesh→retry —
+// compaction as the OOM escape hatch, the paper's motivating scenario.
+// Without meshing the ladder has nothing to reclaim, so allocating past
+// the limit must fail typed.
 func TestOOMBackpressure(t *testing.T) {
-	a := New(WithSeed(11), WithClock(NewLogicalClock()), writeControl("oom.backpressure", false))
+	a := New(WithSeed(11), WithClock(NewLogicalClock()))
 	fragmentPooled(t, a, 64)
 
 	rss, err := a.ReadControl("stats.rss")
@@ -194,16 +196,8 @@ func TestOOMBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Ladder off: the limit hit surfaces immediately, typed.
-	if _, err := a.Malloc(MaxSmallSize * 4); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("Malloc at the limit without backpressure = %v, want ErrOutOfMemory", err)
-	}
-
-	// Ladder on: same allocator, same limit, same request — the emergency
-	// mesh pass compacts the fragmented spans and the retry succeeds.
-	if err := a.Control("oom.backpressure", true); err != nil {
-		t.Fatal(err)
-	}
+	// The emergency mesh pass compacts the fragmented spans and the retry
+	// succeeds.
 	p, err := a.Malloc(MaxSmallSize * 4)
 	if err != nil {
 		t.Fatalf("Malloc with backpressure failed: %v", err)
@@ -215,6 +209,24 @@ func TestOOMBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireCleanInvariants(t, a)
+
+	// No meshing: the limit hit surfaces as ErrOutOfMemory wrapping the
+	// VM's error.
+	b := New(WithSeed(11), WithClock(NewLogicalClock()), WithMeshing(false))
+	if err := b.Control("os.memory_limit", int64(1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	var oom error
+	for i := 0; oom == nil; i++ {
+		if i == 1<<10 {
+			t.Fatal("no Malloc failed under a 1 MiB memory limit")
+		}
+		_, oom = b.Malloc(MaxSmallSize * 4)
+	}
+	if !errors.Is(oom, ErrOutOfMemory) || !errors.Is(oom, vm.ErrOutOfMemory) {
+		t.Fatalf("Malloc past the limit = %v, want ErrOutOfMemory wrapping vm.ErrOutOfMemory", oom)
+	}
+	requireCleanInvariants(t, b)
 }
 
 // TestCloseRacesWithTraffic hammers Close from multiple goroutines while
@@ -405,7 +417,7 @@ func TestChaosStress(t *testing.T) {
 			if err := a.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := a.Control("fault.enabled", false); err != nil {
+			if err := a.Control("fault.plan", ""); err != nil {
 				t.Fatal(err)
 			}
 			if err := a.Flush(); err != nil {

@@ -276,8 +276,8 @@ func writeControl(key string, value any) Option {
 }
 
 // WithSeed fixes the seed of every RNG in the allocator, making runs
-// reproducible. The fault plane's decision seed (fault.seed) starts at
-// it too.
+// reproducible. It is also the fault plane's decision seed, so a fault
+// plan replays exactly under the same seed.
 func WithSeed(seed uint64) Option {
 	return func(s *settings) { s.cfg.Seed = seed }
 }
@@ -533,8 +533,6 @@ var (
 	_ alloc.Allocator    = (*Adapter)(nil)
 	_ alloc.Mesher       = (*Adapter)(nil)
 	_ alloc.Heap         = (*Allocator)(nil)
-	_ alloc.BatchHeap    = (*Allocator)(nil)
 	_ alloc.Heap         = (*Thread)(nil)
-	_ alloc.BatchHeap    = (*Thread)(nil)
 	_ alloc.ThreadCloser = (*Thread)(nil)
 )
