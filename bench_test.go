@@ -194,36 +194,10 @@ var benchSizes = func() []int {
 }()
 
 // BenchmarkScalarMallocFree drives the goroutine-safe pooled API one
-// object at a time — the front-end stripe path with magazines off.
+// object at a time — the front-end stripe path: a stripe swap plus a
+// magazine pop or push.
 func BenchmarkScalarMallocFree(b *testing.B) {
 	a := mesh.New(mesh.WithSeed(1))
-	ptrs := make([]mesh.Ptr, batchLen)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range ptrs {
-			p, err := a.Malloc(64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ptrs[j] = p
-		}
-		for _, p := range ptrs {
-			if err := a.Free(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkScalarMagazineMallocFree is the same scalar traffic with
-// per-class magazines on: a hit is a stripe swap plus an array pop, and
-// the acceptance bar is within 2× of the batch path's per-op cost.
-func BenchmarkScalarMagazineMallocFree(b *testing.B) {
-	a := mesh.New(mesh.WithSeed(1))
-	if err := a.Control("frontend.magazine_objects", 256); err != nil {
-		b.Fatal(err)
-	}
 	ptrs := make([]mesh.Ptr, batchLen)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -17,7 +17,7 @@
 //	ablation  §6.3 randomization ablation table
 //	robson    §1 motivation: OOM survival under a memory budget
 //	pause     inline vs daemon meshing (one engine, two pause budgets): tail stalls and RSS (§4.5)
-//	chaos     fault-injection stress: every site armed across 4 seeds, exact accounting demanded
+//	chaos     fault-injection stress: every site armed across 4 seeds, exact accounting and typed faults demanded
 //	chaos-hardened  corruption-injection stress: canary/poison sites armed, violations == injections demanded
 //	all       everything above
 //
@@ -319,6 +319,9 @@ func chaos() error {
 			r.FaultsInjected, r.MeshPasses, r.MeshdRestarts, inv)
 		if !r.InvariantsOK {
 			return fmt.Errorf("chaos seed %d: invariant check failed", r.Seed)
+		}
+		if r.SkippedOps == 0 {
+			return fmt.Errorf("chaos seed %d: no typed fault reached the workload", r.Seed)
 		}
 	}
 	return nil

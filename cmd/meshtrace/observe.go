@@ -44,20 +44,18 @@ type traced interface {
 
 // observeFlags are the flags record and top share.
 type observeFlags struct {
-	kind      *string
-	scale     *int
-	sample    *int
-	buffer    *int
-	magazines *int
+	kind   *string
+	scale  *int
+	sample *int
+	buffer *int
 }
 
 func addObserveFlags(fs *flag.FlagSet) observeFlags {
 	return observeFlags{
-		kind:      fs.String("allocator", "mesh", "mesh | mesh-nomesh | mesh-norand"),
-		scale:     fs.Int("scale", 1, "dirty-threshold scale factor"),
-		sample:    fs.Int("sample", 1, "record 1 in N alloc/free events (structural events always record)"),
-		buffer:    fs.Int("buffer", 1<<16, "per-source ring capacity in events (rounded up to a power of two)"),
-		magazines: fs.Int("magazines", 64, "front-end magazine capacity in objects (0 replays without magazines)"),
+		kind:   fs.String("allocator", "mesh", "mesh | mesh-nomesh | mesh-norand"),
+		scale:  fs.Int("scale", 1, "dirty-threshold scale factor"),
+		sample: fs.Int("sample", 1, "record 1 in N alloc/free events (structural events always record)"),
+		buffer: fs.Int("buffer", 1<<16, "per-source ring capacity in events (rounded up to a power of two)"),
 	}
 }
 
@@ -83,10 +81,9 @@ func replayTraced(o observeFlags) (mesh.TraceSnapshot, int, error) {
 		return mesh.TraceSnapshot{}, 0, fmt.Errorf("allocator %q has no flight recorder (use a mesh kind)", *o.kind)
 	}
 	for key, v := range map[string]any{
-		"trace.sample_rate":         *o.sample,
-		"trace.buffer_events":       *o.buffer,
-		"trace.enabled":             true,
-		"frontend.magazine_objects": *o.magazines,
+		"trace.sample_rate":   *o.sample,
+		"trace.buffer_events": *o.buffer,
+		"trace.enabled":       true,
 	} {
 		if err := a.Control(key, v); err != nil {
 			return mesh.TraceSnapshot{}, 0, err

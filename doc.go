@@ -31,9 +31,7 @@
 // class magazine serves the object from a local array, a miss on an
 // empty stripe steals a heap parked on another stripe, and only a cold
 // magazine (batch refill) or an empty stripe array falls through to the
-// pool and the sharded heap below (frontend.magazine_objects control).
-// The
-// simulated kernel's data path (internal/vm) is lock-free the same
+// pool and the sharded heap below. The simulated kernel's data path (internal/vm) is lock-free the same
 // way: object reads, writes, and memsets translate through a radix
 // page table of atomic PTEs validated by a seqlock generation, so no
 // byte access ever synchronizes with the allocator (§4.5.1).

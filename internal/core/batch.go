@@ -27,47 +27,30 @@ func (t *ThreadHeap) MallocBatch(sizes []int, out []uint64) ([]uint64, error) {
 	start := len(out)
 	var bytes int64
 	var n uint64
-	flush := func() { t.global.noteAllocN(bytes, n) }
+	var err error
 	for _, size := range sizes {
-		class, ok := t.allocClassFor(size)
-		if !ok {
-			if size <= 0 {
-				flush()
-				_ = t.FreeBatch(out[start:])
-				return out[:start], fmt.Errorf("core: invalid allocation size %d", size)
+		var addr uint64
+		if class, ok := t.allocClassFor(size); ok {
+			if addr, err = t.take(class); err == nil {
+				bytes += int64(sizeclass.Size(class))
+				n++
 			}
+		} else if size <= 0 {
+			err = fmt.Errorf("core: invalid allocation size %d", size)
+		} else {
 			// Large objects account for themselves inside AllocLarge.
-			addr, err := t.global.AllocLarge(size)
-			if err != nil {
-				flush()
-				_ = t.FreeBatch(out[start:])
-				return out[:start], err
-			}
-			out = append(out, addr)
-			continue
+			addr, err = t.global.AllocLarge(size)
 		}
-		sv := t.svs[class]
-		for sv.IsExhausted() {
-			if err := t.refill(class); err != nil {
-				flush()
-				_ = t.FreeBatch(out[start:])
-				return out[:start], err
-			}
+		if err != nil {
+			break
 		}
-		span, off, _ := sv.Malloc()
-		mh := t.attached[class][span]
-		if mh.Hardened() {
-			if err := t.hardenAlloc(class, span, mh, off); err != nil {
-				flush()
-				_ = t.FreeBatch(out[start:])
-				return out[:start], err
-			}
-		}
-		out = append(out, mh.AddrOf(off))
-		bytes += int64(sizeclass.Size(class))
-		n++
+		out = append(out, addr)
 	}
-	flush()
+	t.global.noteAllocN(bytes, n)
+	if err != nil {
+		_ = t.FreeBatch(out[start:])
+		return out[:start], err
+	}
 	return out, nil
 }
 

@@ -37,38 +37,22 @@ func (t *ThreadHeap) MallocClassBatch(class, n int, out []uint64) ([]uint64, err
 		return out, fmt.Errorf("core: invalid size class %d", class)
 	}
 	start := len(out)
-	var done uint64
-	flush := func() {
-		t.global.noteAllocN(int64(done)*int64(sizeclass.Size(class)), done)
-	}
-	sv := t.svs[class]
-	for i := 0; i < n; i++ {
-		for sv.IsExhausted() {
-			if err := t.refill(class); err != nil {
-				flush()
-				_ = t.FreeBatch(out[start:])
-				return out[:start], err
-			}
+	var err error
+	for len(out)-start < n {
+		var addr uint64
+		if addr, err = t.take(class); err != nil {
+			break
 		}
-		span, off, _ := sv.Malloc()
-		mh := t.attached[class][span]
-		if mh.Hardened() {
-			// The fill boundary is where hardened magazines pay their
-			// checks: poison verified and canary armed per object, exactly
-			// as a scalar Malloc would.
-			if err := t.hardenAlloc(class, span, mh, off); err != nil {
-				flush()
-				_ = t.FreeBatch(out[start:])
-				return out[:start], err
-			}
-		}
-		addr := mh.AddrOf(off)
 		out = append(out, addr)
-		done++
 		// Magazine-served objects never pass the scalar Malloc, so this
 		// is their only chance to land in the sampled alloc stream.
 		t.tr.Sampled(trace.EvAlloc, addr, uint64(sizeclass.Size(class)))
 	}
-	flush()
+	done := len(out) - start
+	t.global.noteAllocN(int64(done*sizeclass.Size(class)), uint64(done))
+	if err != nil {
+		_ = t.FreeBatch(out[start:])
+		return out[:start], err
+	}
 	return out, nil
 }

@@ -111,6 +111,23 @@ func (t *ThreadHeap) AlignedAlloc(align, size int) (uint64, error) {
 // mallocFromClass allocates one object from an explicit size class; the
 // shuffle-vector fast path shared with Malloc.
 func (t *ThreadHeap) mallocFromClass(class int) (uint64, error) {
+	addr, err := t.take(class)
+	if err != nil {
+		return 0, err
+	}
+	t.global.noteAlloc(sizeclass.Size(class))
+	t.tr.Sampled(trace.EvAlloc, addr, uint64(sizeclass.Size(class)))
+	return addr, nil
+}
+
+// take pops one object of class off its shuffle vector, refilling the
+// vector while it is exhausted, and returns the object's address. It is
+// the one shuffle-vector take of every small allocation path; callers do
+// the accounting. On a hardened span the slot's poison fill is verified
+// and its canary armed first; on violation the span is retired (the
+// reserved slot returned first) and the take fails typed, so the
+// caller's next attempt refills onto other spans.
+func (t *ThreadHeap) take(class int) (uint64, error) {
 	sv := t.svs[class]
 	for sv.IsExhausted() {
 		if err := t.refill(class); err != nil {
@@ -120,18 +137,11 @@ func (t *ThreadHeap) mallocFromClass(class int) (uint64, error) {
 	span, off, _ := sv.Malloc()
 	mh := t.attached[class][span]
 	if mh.Hardened() {
-		// Verify the slot's poison fill survived and arm its canary. On
-		// violation the span is retired (the reserved slot returned first)
-		// and the allocation fails typed; the caller's next attempt refills
-		// onto other spans.
 		if err := t.hardenAlloc(class, span, mh, off); err != nil {
 			return 0, err
 		}
 	}
-	t.global.noteAlloc(sizeclass.Size(class))
-	addr := mh.AddrOf(off)
-	t.tr.Sampled(trace.EvAlloc, addr, uint64(sizeclass.Size(class)))
-	return addr, nil
+	return mh.AddrOf(off), nil
 }
 
 // UsableSize reports the usable bytes of the object at addr

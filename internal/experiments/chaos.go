@@ -13,10 +13,13 @@ import (
 )
 
 // ChaosPlan is the experiment's fault schedule: every injection site armed
-// at once — transient VM failures for the retry loop, aborts in all three
-// mesh phases, remote-free segment failures forcing the locked fallback,
-// daemon stalls, and a pair of daemon panics for the supervisor.
-const ChaosPlan = "vm.commit:rate=37:mode=transient," +
+// at once — a burst of six permanent commit failures, which outlasts the
+// out-of-memory ladder's single retry so some mallocs surface typed
+// errors, transient map and protect failures for the retry loop, aborts
+// in all three mesh phases, remote-free segment failures forcing the
+// locked fallback, daemon stalls, and a pair of daemon panics for the
+// supervisor.
+const ChaosPlan = "vm.commit:after=64:count=6," +
 	"vm.map:rate=31:mode=transient," +
 	"vm.protect:rate=11:mode=transient," +
 	"mesh.protect:rate=7," +

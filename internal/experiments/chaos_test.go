@@ -52,5 +52,8 @@ func TestChaosRuns(t *testing.T) {
 		if row.Ops == 0 {
 			t.Errorf("seed %d: no operations completed", row.Seed)
 		}
+		if row.SkippedOps == 0 {
+			t.Errorf("seed %d: no typed fault reached the workload", row.Seed)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/mesh"
@@ -22,7 +21,6 @@ const hardenChaosInjections = 5
 type HardenChaosRow struct {
 	Seed           uint64
 	Ops            int
-	ContainedErrs  int // typed ErrHeapCorruption surfaced to the workload
 	Wall           time.Duration
 	OpsPerSec      float64
 	FaultsInjected uint64
@@ -83,17 +81,10 @@ func hardenChaosRun(seed uint64, opsPerWorker int) (*HardenChaosRow, error) {
 	defer a.Close()
 
 	sizes := []int{16, 48, 64, 256, 1024}
-	// A typed containment error is the designed outcome of an injection
-	// and is counted; a malloc may also run out of memory; anything else
-	// (including a crash-turned-error) is fatal.
-	var contained atomic.Int64
-	corrupt := func(err error) bool {
-		if errors.Is(err, mesh.ErrHeapCorruption) {
-			contained.Add(1)
-			return true
-		}
-		return false
-	}
+	// A typed containment error is the designed outcome of an injection;
+	// a malloc may also run out of memory; anything else (including a
+	// crash-turned-error) is fatal.
+	corrupt := func(err error) bool { return errors.Is(err, mesh.ErrHeapCorruption) }
 	mallocOK := func(err error) bool { return corrupt(err) || errors.Is(err, mesh.ErrOutOfMemory) }
 	ops, wall, err := relayChurn(a, seed, opsPerWorker, sizes, mallocOK, corrupt, true)
 	if err != nil {
@@ -150,8 +141,7 @@ func hardenChaosRun(seed uint64, opsPerWorker int) (*HardenChaosRow, error) {
 
 	st := a.Stats()
 	h := st.Harden
-	row := &HardenChaosRow{Seed: seed, Ops: ops, ContainedErrs: int(contained.Load()),
-		Wall: wall, ServedAfter: served, Checks: h.Checks,
+	row := &HardenChaosRow{Seed: seed, Ops: ops, Wall: wall, ServedAfter: served, Checks: h.Checks,
 		Violations: h.Violations, Passes: h.Passes, Quarantined: h.Quarantined,
 		Settled: h.Settled, RetiredSpans: h.Retired, LostObjects: h.LostObjects,
 		Audited: h.Audited}

@@ -31,44 +31,42 @@
 // every heap still has exactly one owner at a time, so the single-owner
 // meshing invariant (§4.5.3) is untouched.
 //
-// Magazines (off by default; frontend.magazine_objects) sit above the
-// cached heap: per size class, a fixed-capacity array of object
-// addresses. A magazine hit — the common case once warm — is an array
-// pop or push with zero shared atomic operations; misses fill half the
-// capacity through MallocClassBatch and overflows flush half through
-// FreeBatch, so shared accounting atomics and shard-lock traffic are
-// paid once per half-capacity batch instead of once per object.
-// Addresses are stable across meshing (the paper's core property), and
-// magazine-held objects are live in their spans' bitmaps, so meshing
-// relocates their bytes like any other live object while the cached
-// addresses stay valid.
+// Magazines sit above the cached heap: per size class, a fixed array of
+// magazineCap object addresses. A magazine hit — the common case once
+// warm — is an array pop or push with zero shared atomic operations;
+// misses fill half the capacity through MallocClassBatch and overflows
+// flush half through FreeBatch, so shared accounting atomics and
+// shard-lock traffic are paid once per half-capacity batch instead of
+// once per object. Addresses are stable across meshing (the paper's core
+// property), and magazine-held objects are live in their spans' bitmaps,
+// so meshing relocates their bytes like any other live object while the
+// cached addresses stay valid.
 //
-// Semantics traded for the magazine hit path, all scoped to
-// magazine-eligible frees (small objects that validate against the page
-// map) and documented on the controls:
+// Semantics of the magazine hit path:
 //
 //   - Frees trust the caller like the paper's local fast path (§4.1): a
 //     double free of a magazine-cached object is not detected until the
 //     flush reaches the locked path, and may alias in between.
-//   - Hardening checks run at the fill and flush boundaries (the batch
-//     calls run the full canary/poison protocol per object), preserving
-//     checks == violations + passes; the poison-on-free window narrows to
-//     flush time, and quarantine parking happens at flush rather than at
-//     the user's free call.
-//   - Heap-level accounting counts magazine population as allocated
-//     (fill) until flushed, so allocs == frees + live holds exactly at
-//     quiescence (after Flush/Close) and stats.frontend.cached_objects
-//     reports the transient skew.
+//   - Hardening keeps its checks at the call: while harden.enabled is on,
+//     and for any free of a hardened span, Malloc and Free skip the
+//     magazines and take the cached heap's checked path.
+//   - The heap counts magazine population as allocated (fill) until
+//     flushed. Each front keeps plain books of what that hides — cached
+//     objects and bytes, and pops minus filled objects — and publishes
+//     them before it parks; Skew sums them, so the allocator's Stats are
+//     exact whenever no call is in flight.
 package frontend
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/arena"
 	"repro/internal/core"
+	"repro/internal/harden"
 	"repro/internal/sizeclass"
 	"repro/internal/trace"
 )
@@ -79,23 +77,22 @@ const (
 	// callers keep a front each; past that the pool is the overflow path,
 	// and more stripes would only pad more cache lines.
 	NumStripes = 1 << stripeShift
-	// MaxMagazineObjects caps frontend.magazine_objects; a magazine holds
-	// addresses, so the cap bounds per-front memory at
-	// NumClasses * 8 B * cap ≈ 768 KiB.
-	MaxMagazineObjects = 4096
+	// magazineCap is each magazine's capacity in objects. It is a span's
+	// minimum slot count, so a half-capacity fill never asks for more
+	// than one span of any class holds.
+	magazineCap = sizeclass.MinObjectCount
 )
 
 // Cache is the front end: NumStripes padded slots of parked Fronts plus
-// the magazine setting and counters. Borrow/ret bridge to the heap pool
-// (the cold path) without an import cycle.
+// the magazine counters. Borrow/ret bridge to the heap pool (the cold
+// path) without an import cycle.
 type Cache struct {
 	g      *core.GlobalHeap
 	pages  *arena.Arena
+	harden *harden.Plane
 	tr     *trace.Source
 	borrow func() *core.ThreadHeap
 	ret    func(*core.ThreadHeap)
-
-	magObjects atomic.Int64
 
 	// fills/flushes count magazine batch refills and drains — slow-path
 	// events by construction, so plain shared counters cost nothing on
@@ -103,22 +100,23 @@ type Cache struct {
 	fills   atomic.Uint64
 	flushes atomic.Uint64
 
+	// retiredPops is the pops-minus-filled count of every retired front:
+	// its magazines are empty, but the heap's totals still count its
+	// fills and flushes instead of its pops and pushes.
+	retiredPops atomic.Int64
+
 	stripes [NumStripes]stripe
 }
 
 // stripe is one padded slot. All per-operation atomics of the fast path
-// (the slot swap/CAS, the hit/miss counters, the cached-objects gauge)
-// land on this stripe-private line, so goroutines on distinct stripes
-// share no write location; the padding keeps neighbouring stripes from
-// false-sharing it back. cached is the magazine population of the front
-// parked on the stripe: stored at park, and cleared when another
-// stripe's miss steals the front or Flush retires it.
+// (the slot swap/CAS, the hit/miss counters) land on this stripe-private
+// line, so goroutines on distinct stripes share no write location; the
+// padding keeps neighbouring stripes from false-sharing it back.
 type stripe struct {
 	slot   atomic.Pointer[Front]
 	hits   atomic.Uint64
 	misses atomic.Uint64
-	cached atomic.Int64
-	_      [96]byte
+	_      [104]byte
 }
 
 // Front is one cached heap plus its magazines. A Front is single-owner
@@ -126,29 +124,31 @@ type stripe struct {
 // stripe swap/CAS provides the ownership hand-off edge — so every
 // non-atomic field is plain.
 type Front struct {
-	c      *Cache
-	th     *core.ThreadHeap
-	magCap int
-	cached int // total objects across all magazines
-	mags   [sizeclass.NumClasses]magazine
+	c  *Cache
+	th *core.ThreadHeap
+	// The magazine books: objects cached across all magazines, their
+	// bytes, and objects popped minus objects filled.
+	cached, cachedBytes, pops int64
+	// pub is the books as of the last Release, stored before the parking
+	// CAS so Skew can read a parked front through its stripe slot.
+	pub  struct{ cached, cachedBytes, pops atomic.Int64 }
+	mags [sizeclass.NumClasses]magazine
 }
 
 // magazine is a fixed array of cached object addresses for one size
-// class. objs is allocated lazily (first fill or push) at magCap and
-// never grows; n is the population.
+// class; n is the population.
 type magazine struct {
 	n    int
-	objs []uint64
+	objs [magazineCap]uint64
 }
 
-// NewCache builds the front end over g with magazines off. borrow and
-// ret bridge pool borrows and retirements to the heap pool;
-// SetMagazineObjects (the frontend.magazine_objects control) turns
-// magazines on.
+// NewCache builds the front end over g. borrow and ret bridge pool
+// borrows and retirements to the heap pool.
 func NewCache(g *core.GlobalHeap, borrow func() *core.ThreadHeap, ret func(*core.ThreadHeap)) *Cache {
 	return &Cache{
 		g:      g,
 		pages:  g.Arena(),
+		harden: g.Harden(),
 		tr:     g.Tracer().NewSource(trace.SrcFrontend),
 		borrow: borrow,
 		ret:    ret,
@@ -193,63 +193,57 @@ func (c *Cache) Acquire() *Front {
 			continue
 		}
 		if f := o.slot.Swap(nil); f != nil {
-			o.cached.Store(0)
 			return f
 		}
 	}
 	return c.newFront() //mesh:slowpath — every stripe empty: borrow a heap from the pool
 }
 
-// newFront wraps a pool-borrowed heap in a fresh Front sized by the
-// current magazine setting.
+// newFront wraps a pool-borrowed heap in a fresh Front.
 func (c *Cache) newFront() *Front {
-	return &Front{c: c, th: c.borrow(), magCap: int(c.magObjects.Load())}
+	return &Front{c: c, th: c.borrow()}
 }
 
 // Release parks f back on the caller's stripe. Like the pool's park
 // point it drains the heap's remote-free queue first, so a front never
-// parks carrying message-passed work. A full home stripe — another
-// goroutine hashing to it parked first — sends f to the first empty
-// stripe, where the next miss can steal it back; only on a full stripe
-// array does the front retire: magazines flush and the heap returns to
-// the pool. The error is the joined magazine flush errors (deferred
-// invalid frees surfacing late); nil on every park.
+// parks carrying message-passed work, and it publishes the magazine
+// books for Skew. A full home stripe — another goroutine hashing to it
+// parked first — sends f to the first empty stripe, where the next miss
+// can steal it back; only on a full stripe array does the front retire:
+// magazines flush and the heap returns to the pool. The error is the
+// joined magazine flush errors (deferred invalid frees surfacing late);
+// nil on every park.
 //
 //mesh:lockfree
 func (c *Cache) Release(f *Front) error {
 	f.th.DrainRemoteFrees() //mesh:slowpath — the park drain point; settles queued frees while we still own the heap
-	n := int64(f.cached)
-	s := &c.stripes[stripeOf()]
-	if s.slot.CompareAndSwap(nil, f) {
-		s.cached.Store(n)
+	f.pub.cached.Store(f.cached)
+	f.pub.cachedBytes.Store(f.cachedBytes)
+	f.pub.pops.Store(f.pops)
+	if c.stripes[stripeOf()].slot.CompareAndSwap(nil, f) {
 		return nil
 	}
 	for i := range c.stripes {
 		if c.stripes[i].slot.Load() == nil && c.stripes[i].slot.CompareAndSwap(nil, f) {
-			c.stripes[i].cached.Store(n)
 			return nil
 		}
 	}
 	return c.retire(f) //mesh:slowpath — every stripe full: flush magazines, give the heap back
 }
 
-// retire flushes f's magazines and returns its heap to the pool.
+// retire flushes f's magazines, banks its pops count and returns its
+// heap to the pool.
 func (c *Cache) retire(f *Front) error {
-	err := c.flushFront(f)
-	c.ret(f.th)
-	return err
-}
-
-// flushFront drains every magazine of f through the batch free path.
-func (c *Cache) flushFront(f *Front) error {
 	var errs []error
 	for class := range f.mags {
-		if f.mags[class].n > 0 {
-			if err := f.flushMagazine(class, f.mags[class].n); err != nil {
+		if n := f.mags[class].n; n > 0 {
+			if err := f.flushMagazine(class, n); err != nil {
 				errs = append(errs, err)
 			}
 		}
 	}
+	c.retiredPops.Add(f.pops)
+	c.ret(f.th)
 	return errors.Join(errs...)
 }
 
@@ -260,28 +254,14 @@ func (c *Cache) flushFront(f *Front) error {
 func (c *Cache) Flush() error {
 	var errs []error
 	for i := range c.stripes {
-		s := &c.stripes[i]
-		if f := s.slot.Swap(nil); f != nil {
+		if f := c.stripes[i].slot.Swap(nil); f != nil {
 			if err := c.retire(f); err != nil {
 				errs = append(errs, err)
 			}
 		}
-		s.cached.Store(0)
 	}
 	return errors.Join(errs...)
 }
-
-// SetMagazineObjects sets the per-class magazine capacity, which must
-// lie in [0, MaxMagazineObjects], and flushes, retiring fronts built with
-// the old capacity; fronts created afterwards use the new one. 0 disables
-// magazines while keeping the stripe layer.
-func (c *Cache) SetMagazineObjects(n int) error {
-	c.magObjects.Store(int64(n))
-	return c.Flush()
-}
-
-// MagazineObjects returns the current per-class magazine capacity.
-func (c *Cache) MagazineObjects() int { return int(c.magObjects.Load()) }
 
 // Hits counts stripe acquisitions served by the front parked on the
 // caller's own stripe.
@@ -310,17 +290,34 @@ func (c *Cache) Fills() uint64 { return c.fills.Load() }
 // Flushes counts magazine batch drains (EvMagazineFlush events).
 func (c *Cache) Flushes() uint64 { return c.flushes.Load() }
 
-// CachedObjects gauges the objects parked in stripe magazines: the skew
-// between heap-level and application-level accounting while magazines
-// are populated. Approximate under traffic (fronts in flight mutate
-// their magazines), exact at quiescence; 0 after Flush.
-func (c *Cache) CachedObjects() int64 {
-	var n int64
-	for i := range c.stripes {
-		n += c.stripes[i].cached.Load()
-	}
-	return n
+// Skew is what the magazines hide from the heap's totals, which count a
+// fill as allocations and a flush as frees: Objects and Bytes cached,
+// and Pops, the objects popped minus the objects filled. The
+// application's allocations are the heap's plus Pops, its frees the
+// heap's plus Pops plus Objects, and its live bytes the heap's minus
+// Bytes.
+type Skew struct {
+	Objects, Bytes, Pops int64
 }
+
+// Skew sums the books of every parked and retired front. Fronts held by
+// in-flight calls are missed, so it is exact whenever no call is in
+// flight.
+func (c *Cache) Skew() Skew {
+	s := Skew{Pops: c.retiredPops.Load()}
+	for i := range c.stripes {
+		if f := c.stripes[i].slot.Load(); f != nil {
+			s.Objects += f.pub.cached.Load()
+			s.Bytes += f.pub.cachedBytes.Load()
+			s.Pops += f.pub.pops.Load()
+		}
+	}
+	return s
+}
+
+// CachedObjects gauges the objects parked in stripe magazines; 0 after
+// Flush.
+func (c *Cache) CachedObjects() int64 { return c.Skew().Objects }
 
 // Heap exposes the front's cached heap for calls that bypass magazines
 // but still want the stripe-cached heap (batch, calloc/realloc, aligned).
@@ -329,53 +326,59 @@ func (f *Front) Heap() *core.ThreadHeap { return f.th }
 // Malloc allocates size bytes. The magazine hit — the steady-state case
 // once warm — is routing plus an array pop: no locks, no shared atomics,
 // not even the accounting pair (it was paid by the batch fill). Misses
-// batch-refill; non-magazine requests (large, invalid, magazines off)
-// take the cached heap's ordinary path.
+// batch-refill; large and invalid requests, and every request while
+// hardening is on, take the cached heap's ordinary path.
 //
 //mesh:lockfree
 func (f *Front) Malloc(size int) (uint64, error) {
-	if f.magCap > 0 {
-		if class, ok := f.th.AllocClass(size); ok {
-			m := &f.mags[class]
-			if m.n > 0 {
-				m.n--
-				f.cached--
-				return m.objs[m.n], nil
-			}
-			return f.fillAndPop(class) //mesh:slowpath — magazine empty: batch-refill from the cached heap
+	class, ok := f.th.AllocClass(size)
+	if !ok || f.c.harden.Enabled() {
+		return f.th.Malloc(size) //mesh:slowpath — large, invalid or hardened request: the heap's checked path
+	}
+	m := &f.mags[class]
+	if m.n == 0 {
+		if err := f.fill(class); err != nil { //mesh:slowpath — magazine empty: batch-refill from the cached heap
+			return 0, err
 		}
 	}
-	return f.th.Malloc(size) //mesh:slowpath — large or invalid request, or magazines off: the heap's ordinary path
+	m.n--
+	f.cached--
+	f.cachedBytes -= int64(sizeclass.Size(class))
+	f.pops++
+	return m.objs[m.n], nil
 }
 
-// Free releases the object at addr. A magazine-eligible free — a valid
-// small object while there is magazine room — is an array push with zero
-// shared atomics; the object's actual release (remote queue or shard
-// lock, hardening poison, quarantine) is deferred to the flush. See the
-// package comment for the trust-the-caller consequences.
+// Free releases the object at addr. A magazine-eligible free is an
+// array push with zero shared atomics; the object's actual release
+// (remote queue or shard lock) is deferred to the flush. See the package
+// comment for the trust-the-caller consequences.
 //
 //mesh:lockfree
 func (f *Front) Free(addr uint64) error {
-	if f.magCap > 0 {
-		if class, ok := f.classOf(addr); ok {
-			m := &f.mags[class]
-			if m.objs != nil && m.n < f.magCap {
-				m.objs[m.n] = addr
-				m.n++
-				f.cached++
-				return nil
-			}
-			return f.slowFree(class, addr) //mesh:slowpath — magazine full or not yet materialized: flush half, then push
-		}
+	class, ok := f.classOf(addr)
+	if !ok {
+		return f.th.Free(addr) //mesh:slowpath — non-magazine free (large, foreign, invalid, hardened): the heap's checked path, which reports errors
 	}
-	return f.th.Free(addr) //mesh:slowpath — non-magazine free (large, foreign, invalid): the heap's ordinary path, which reports errors
+	m := &f.mags[class]
+	var err error
+	if m.n == magazineCap {
+		// A flush error — a deferred invalid free discovered at the
+		// locked path — surfaces here, while addr itself is still cached.
+		err = f.flushMagazine(class, magazineCap/2) //mesh:slowpath — magazine full: flush half, then push
+	}
+	m.objs[m.n] = addr
+	m.n++
+	f.cached++
+	f.cachedBytes += int64(sizeclass.Size(class))
+	return err
 }
 
-// classOf decides magazine eligibility for a free: a small-object address
-// that the lock-free page map resolves, lands on a valid slot boundary,
-// and is currently allocated. Everything else — large objects, retired
-// spans, interior pointers, double frees of already-settled objects —
-// reports false and takes the ordinary path, which produces the typed
+// classOf decides magazine eligibility for a free: with hardening off, a
+// small-object address on an unhardened span that the lock-free page map
+// resolves, lands on a valid slot boundary, and is currently allocated.
+// Everything else — large objects, retired or hardened spans, interior
+// pointers, double frees of already-settled objects — reports false and
+// takes the ordinary path, which runs the checks and produces the typed
 // errors. The bitmap probe is best-effort (racy by design, like the
 // paper's fast path): it routes stale frees to the checked path but
 // cannot catch a double free of an object currently parked in a
@@ -383,89 +386,55 @@ func (f *Front) Free(addr uint64) error {
 //
 //mesh:lockfree
 func (f *Front) classOf(addr uint64) (int, bool) {
+	if f.c.harden.Enabled() {
+		return 0, false
+	}
 	mh := f.c.pages.Lookup(addr)
-	if mh == nil || mh.IsLarge() || mh.IsRetired() {
+	if mh == nil || mh.IsLarge() || mh.IsRetired() || mh.Hardened() {
 		return 0, false
 	}
 	off, err := mh.OffsetOf(addr)
-	if err != nil {
-		return 0, false
-	}
-	if !mh.Bitmap().IsSet(off) {
+	if err != nil || !mh.Bitmap().IsSet(off) {
 		return 0, false
 	}
 	return mh.SizeClass(), true
 }
 
-// fillAndPop restocks an empty magazine with half its capacity through
-// the exact-class batch path — one coalesced accounting update, the
-// refill/drain protocol, per-object hardening checks — and pops one.
-func (f *Front) fillAndPop(class int) (uint64, error) {
+// fill restocks an empty magazine with half its capacity through the
+// exact-class batch path — one coalesced accounting update, the
+// refill/drain protocol — stored reversed, so pops come out in
+// shuffle-vector order.
+func (f *Front) fill(class int) error {
 	m := &f.mags[class]
-	if m.objs == nil {
-		m.objs = make([]uint64, f.magCap)
-	}
-	want := f.magCap / 2
-	if want < 1 {
-		want = 1
-	}
-	out, err := f.th.MallocClassBatch(class, want, m.objs[:0])
+	out, err := f.th.MallocClassBatch(class, magazineCap/2, m.objs[:0])
 	if err != nil {
-		// All-or-nothing: the magazine stays empty.
-		return 0, err
+		return err // all-or-nothing: the magazine stays empty
 	}
+	slices.Reverse(out)
 	m.n = len(out)
-	f.cached += m.n
+	f.cached += int64(m.n)
+	f.cachedBytes += int64(m.n * sizeclass.Size(class))
+	f.pops -= int64(m.n)
 	f.c.fills.Add(1)
 	f.c.tr.Event(trace.EvMagazineFill, uint64(class), uint64(m.n))
-	m.n--
-	f.cached--
-	return m.objs[m.n], nil
-}
-
-// slowFree pushes addr after making room: materialize the magazine on
-// first use, or flush half of a full one. A flush error surfaces here —
-// a deferred invalid free discovered at the locked path — while addr
-// itself is still cached.
-func (f *Front) slowFree(class int, addr uint64) error {
-	m := &f.mags[class]
-	if m.objs == nil {
-		m.objs = make([]uint64, f.magCap)
-	}
-	var err error
-	if m.n >= f.magCap {
-		k := f.magCap / 2
-		if k < 1 {
-			k = 1
-		}
-		err = f.flushMagazine(class, k)
-	}
-	m.objs[m.n] = addr
-	m.n++
-	f.cached++
-	return err
+	return nil
 }
 
 // flushMagazine releases the oldest k cached objects of class through
-// the batch free path (remote queues and shard locks, hardening poison
-// and quarantine — the full protocol, once per batch).
+// the batch free path (remote queues and shard locks — the full
+// protocol, once per batch).
 func (f *Front) flushMagazine(class, k int) error {
 	m := &f.mags[class]
-	if k > m.n {
-		k = m.n
-	}
-	if k <= 0 {
-		return nil
-	}
 	// Magazine-parked objects skipped the scalar free's sampled trace
 	// emission; the flush is their only chance to enter the free stream.
 	for _, addr := range m.objs[:k] {
 		f.c.tr.Sampled(trace.EvFree, addr, 0)
 	}
 	err := f.th.FreeBatch(m.objs[:k])
-	copy(m.objs, m.objs[k:m.n])
+	copy(m.objs[:], m.objs[k:m.n])
 	m.n -= k
-	f.cached -= k
+	f.cached -= int64(k)
+	f.cachedBytes -= int64(k * sizeclass.Size(class))
 	f.c.flushes.Add(1)
 	f.c.tr.Event(trace.EvMagazineFlush, uint64(class), uint64(k))
 	if err != nil {

@@ -10,8 +10,13 @@ import (
 
 // testCache builds a Cache over a fresh global heap with counting
 // borrow/ret bridges, mirroring how mesh wires it to the heap pool.
+// magObjects is the magazine capacity the test is written for; the test
+// stops if the build's capacity differs.
 func testCache(t *testing.T, magObjects int) (*Cache, *atomic.Int64, *atomic.Int64) {
 	t.Helper()
+	if magObjects != magazineCap {
+		t.Fatalf("test written for %d-object magazines, the build has %d", magObjects, magazineCap)
+	}
 	cfg := core.DefaultConfig()
 	cfg.Clock = core.NewLogicalClock()
 	g := core.NewGlobalHeap(cfg)
@@ -27,15 +32,11 @@ func testCache(t *testing.T, magObjects int) (*Cache, *atomic.Int64, *atomic.Int
 			t.Errorf("retiring heap: %v", err)
 		}
 	}
-	c := NewCache(g, borrow, ret)
-	if err := c.SetMagazineObjects(magObjects); err != nil {
-		t.Fatal(err)
-	}
-	return c, &borrows, &rets
+	return NewCache(g, borrow, ret), &borrows, &rets
 }
 
 func TestStripeParkAndReuse(t *testing.T) {
-	c, borrows, rets := testCache(t, 0)
+	c, borrows, rets := testCache(t, magazineCap)
 	f := c.Acquire()
 	if borrows.Load() != 1 || c.Misses() != 1 {
 		t.Fatalf("cold acquire: borrows=%d misses=%d, want 1/1", borrows.Load(), c.Misses())
@@ -79,7 +80,7 @@ func TestStripeParkAndReuse(t *testing.T) {
 // stripe was already full — serves the next miss instead of a fresh pool
 // borrow. All on one goroutine, so the home stripe is fixed.
 func TestMissStealsParkedFront(t *testing.T) {
-	c, borrows, _ := testCache(t, 0)
+	c, borrows, _ := testCache(t, magazineCap)
 	f1 := c.Acquire()
 	f2 := c.Acquire() // the home stripe is still empty: a second borrow
 	if borrows.Load() != 2 {
@@ -209,7 +210,7 @@ func TestStealSingleOwnerLitmus(t *testing.T) {
 }
 
 func TestReleaseOverflowRetires(t *testing.T) {
-	c, borrows, rets := testCache(t, 0)
+	c, borrows, rets := testCache(t, magazineCap)
 	// One goroutine acquires more fronts than there are stripes: every
 	// Acquire empties the caller's stripe, so each is a miss. Releasing
 	// all of them can park at most NumStripes fronts (own stripe + the
@@ -357,43 +358,10 @@ func TestMagazineRoutesIneligibleFrees(t *testing.T) {
 	}
 }
 
-func TestSetMagazineObjectsClampsAndRetiresStaleFronts(t *testing.T) {
-	c, _, rets := testCache(t, MaxMagazineObjects)
-	f := c.Acquire()
-	if f.magCap != MaxMagazineObjects {
-		t.Fatalf("front capacity = %d, want %d", f.magCap, MaxMagazineObjects)
-	}
-	p, err := f.Malloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Free(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Release(f); err != nil {
-		t.Fatal(err)
-	}
-	// Capacity writes flush, so no front built with the old capacity
-	// survives; the next acquire sees the new setting.
-	if err := c.SetMagazineObjects(4); err != nil {
-		t.Fatal(err)
-	}
-	if rets.Load() != 1 {
-		t.Fatalf("capacity write retired %d fronts, want 1", rets.Load())
-	}
-	g := c.Acquire()
-	if g.magCap != 4 {
-		t.Fatalf("new front capacity = %d, want 4", g.magCap)
-	}
-	if err := c.Release(g); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMagazineAccountingBalancesAtQuiescence(t *testing.T) {
 	// Heap-level accounting counts magazine population as allocated; the
 	// identity allocs == frees must close once the cache flushes.
-	c, _, _ := testCache(t, 16)
+	c, _, _ := testCache(t, magazineCap)
 	f := c.Acquire()
 	var live []uint64
 	for i := 0; i < 200; i++ {

@@ -94,7 +94,10 @@ func ClassForSize(size int) (int, bool) {
 	return -1, false
 }
 
-// Size returns the object size of class c.
+// Size returns the object size of class c: a lookup in immutable
+// init-time state, safe on lock-free paths.
+//
+//mesh:lockfree
 func Size(c int) int {
 	return classes[c]
 }

@@ -6,9 +6,8 @@ import "repro/internal/core"
 // public types. Allocator-level calls take a front-end heap (a stripe
 // hit, a steal, or a pool borrow) and are safe for concurrent use;
 // Thread-level calls run on the pinned heap. These composite operations
-// use the cached heap directly rather than the magazines — their inner
-// mallocs/frees are not the scalar hot path — so they keep the locked
-// path's full error detection.
+// use the cached heap directly rather than the magazines: their inner
+// mallocs/frees are not the scalar hot path.
 
 // Calloc allocates n objects of size bytes each, zeroed.
 func (a *Allocator) Calloc(n, size int) (Ptr, error) {

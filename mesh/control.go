@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/frontend"
 	"repro/internal/trace"
 )
 
@@ -94,9 +93,6 @@ var controls = []control{
 		func(a *Allocator) any { return int(a.pool.idle.Load()) }),
 	stat("pool.created", "Thread heaps ever created by the pool.",
 		func(a *Allocator) any { return int(a.pool.created.Load()) }),
-	integer("frontend.magazine_objects", "Per-size-class magazine capacity in objects; 0 is off. Writing flushes cached fronts.", 0, frontend.MaxMagazineObjects,
-		func(a *Allocator) any { return a.front.MagazineObjects() },
-		func(a *Allocator, n int64) error { return a.front.SetMagazineObjects(int(n)) }),
 	stat("stats.frontend.hits", "Allocator-level calls served by the heap cached on the caller's stripe.",
 		func(a *Allocator) any { return a.front.Hits() }),
 	stat("stats.frontend.misses", "Allocator-level calls that found their stripe empty (served by a steal or a pool borrow).",

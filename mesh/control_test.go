@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/frontend"
 	"repro/internal/trace"
 )
 
@@ -35,7 +34,6 @@ func TestControlKeyTable(t *testing.T) {
 		{key: "os.memory_limit", set: int64(1 << 20), want: int64(1 << 20), readback: true},
 		{key: "pool.idle", want: 0, readback: true},
 		{key: "pool.created", want: 0, readback: true},
-		{key: "frontend.magazine_objects", set: 64, want: 64, readback: true},
 		// No Allocator-level call has run, so the stripes are untouched.
 		{key: "stats.frontend.hits", want: uint64(0), readback: true},
 		{key: "stats.frontend.misses", want: uint64(0), readback: true},
@@ -161,8 +159,6 @@ func TestControlBadTypes(t *testing.T) {
 		{"fault.plan", "vm.commit:rate=0"},    // rate must be >= 1
 		{"fault.plan", "vm.commit:bogus=1"},   // unknown clause key
 		{"fault.plan", "vm.commit:mode=soft"}, // unknown mode
-		{"frontend.magazine_objects", int64(-1)},
-		{"frontend.magazine_objects", frontend.MaxMagazineObjects + 1},
 	}
 	for _, tc := range bad {
 		if err := a.Control(tc.key, tc.val); !errors.Is(err, ErrControlType) {
@@ -209,18 +205,6 @@ func TestControlBadTypes(t *testing.T) {
 	// The out-of-range buffer sizes above were rejected, not clamped.
 	if got, _ := a.ReadControl("trace.buffer_events"); got != trace.DefaultBufferEvents {
 		t.Fatalf("rejected trace.buffer_events writes changed the capacity to %v", got)
-	}
-
-	// Same for the front end: rejected writes leave the capacity
-	// untouched.
-	if err := a.Control("frontend.magazine_objects", 32); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Control("frontend.magazine_objects", frontend.MaxMagazineObjects+1); !errors.Is(err, ErrControlType) {
-		t.Fatalf("oversized frontend.magazine_objects = %v, want ErrControlType", err)
-	}
-	if got, _ := a.ReadControl("frontend.magazine_objects"); got != 32 {
-		t.Fatalf("rejected frontend.magazine_objects write clobbered the capacity: %v", got)
 	}
 }
 

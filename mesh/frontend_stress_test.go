@@ -25,7 +25,7 @@ import (
 // goroutines so magazine flushes push remote frees. Contents carried
 // across the hand-off prove no write was lost.
 func TestFrontendStripeMigrationStress(t *testing.T) {
-	a := New(WithSeed(41), writeControl("frontend.magazine_objects", 16),
+	a := New(WithSeed(41),
 		WithBackgroundMeshing(true),
 		WithMeshPeriod(0),
 		WithMaxMeshPause(50*time.Microsecond),
@@ -123,11 +123,11 @@ func TestFrontendStripeMigrationStress(t *testing.T) {
 
 // TestFrontendFlushRacesMeshingAndRetirement storms the reconfiguration
 // surface while scalar traffic runs: Flush retires fronts mid-flight,
-// magazine capacity writes retire and rebuild them, and foreground
-// meshing passes race the flushes' batch frees. Every combination must
-// land on the same closed books.
+// harden.enabled toggles move scalar calls on and off the magazines, and
+// foreground meshing passes race the flushes' batch frees. Every
+// combination must land on the same closed books.
 func TestFrontendFlushRacesMeshingAndRetirement(t *testing.T) {
-	a := New(WithSeed(43), writeControl("frontend.magazine_objects", 8))
+	a := New(WithSeed(43))
 	defer a.Close()
 
 	const (
@@ -139,7 +139,6 @@ func TestFrontendFlushRacesMeshingAndRetirement(t *testing.T) {
 	churn.Add(1)
 	go func() {
 		defer churn.Done()
-		caps := []int{0, 4, 32}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -153,8 +152,8 @@ func TestFrontendFlushRacesMeshingAndRetirement(t *testing.T) {
 					return
 				}
 			case 1:
-				if err := a.Control("frontend.magazine_objects", caps[i/3%len(caps)]); err != nil {
-					t.Errorf("racing capacity write: %v", err)
+				if err := a.Control("harden.enabled", i/3%2 == 0); err != nil {
+					t.Errorf("racing hardening toggle: %v", err)
 					return
 				}
 			default:
@@ -216,7 +215,7 @@ func TestFrontendFlushRacesMeshingAndRetirement(t *testing.T) {
 func TestFrontendChaosSeeds(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			a := New(WithSeed(seed), writeControl("frontend.magazine_objects", 16),
+			a := New(WithSeed(seed),
 				WithBackgroundMeshing(true),
 				WithMeshPeriod(time.Millisecond))
 			defer a.Close()

@@ -15,11 +15,12 @@ func readFrontU64(t *testing.T, a *Allocator, key string) uint64 {
 	return v.(uint64)
 }
 
-// TestMagazineAccountingIdentity checks the accounting contract with
-// magazines on: mid-traffic the heap-level identity holds with the skew
-// reported by stats.frontend.cached_objects; Flush closes the books.
+// TestMagazineAccountingIdentity checks the accounting contract: Stats
+// is exact at application-level quiescence even while the magazines
+// still hold objects (stats.frontend.cached_objects > 0), and Flush
+// empties them without moving the books.
 func TestMagazineAccountingIdentity(t *testing.T) {
-	a := New(WithSeed(13), WithClock(NewLogicalClock()), writeControl("frontend.magazine_objects", 32))
+	a := New(WithSeed(13), WithClock(NewLogicalClock()))
 	var live []Ptr
 	for i := 0; i < 500; i++ {
 		p, err := a.Malloc(64)
@@ -34,7 +35,7 @@ func TestMagazineAccountingIdentity(t *testing.T) {
 		}
 	}
 	// App-level quiescent, heap-level not: the magazines hold objects the
-	// heap still counts as allocated.
+	// heap still counts as allocated, and Stats corrects for them.
 	cached, err := a.ReadControl("stats.frontend.cached_objects")
 	if err != nil {
 		t.Fatal(err)
@@ -43,9 +44,9 @@ func TestMagazineAccountingIdentity(t *testing.T) {
 	if cached.(int64) <= 0 {
 		t.Fatalf("stats.frontend.cached_objects = %d after churn, want > 0", cached)
 	}
-	if st.Allocs-st.Frees != uint64(cached.(int64)) {
-		t.Fatalf("skew mismatch: allocs-frees = %d, cached_objects = %d",
-			st.Allocs-st.Frees, cached)
+	if st.Allocs != st.Frees || st.Live != 0 {
+		t.Fatalf("identity open with %d cached objects: allocs=%d frees=%d live=%d",
+			cached, st.Allocs, st.Frees, st.Live)
 	}
 	if fills := readFrontU64(t, a, "stats.frontend.fills"); fills == 0 {
 		t.Fatal("magazine traffic recorded no fills")
@@ -70,7 +71,7 @@ func TestMagazineAccountingIdentity(t *testing.T) {
 // TestMagazineTraceEvents checks the flight recorder captures the
 // magazine lifecycle: fill and flush events from the frontend source.
 func TestMagazineTraceEvents(t *testing.T) {
-	a := New(WithSeed(17), WithClock(NewLogicalClock()), writeControl("frontend.magazine_objects", 8),
+	a := New(WithSeed(17), WithClock(NewLogicalClock()),
 		writeControl("trace.enabled", true), writeControl("trace.sample_rate", 1))
 	var ptrs []Ptr
 	for i := 0; i < 64; i++ {
@@ -100,13 +101,14 @@ func TestMagazineTraceEvents(t *testing.T) {
 	}
 }
 
-// TestMagazineHardenedFlushDetectsCanarySmash pins the hardening
-// integration: the canary check runs at the flush boundary, so an
-// overflow into a magazine-cached object's guard word is detected when
-// the cache drains — as a typed error with the counter algebra intact.
-func TestMagazineHardenedFlushDetectsCanarySmash(t *testing.T) {
+// TestMagazineHardenedFreeDetectsCanarySmash pins the hardening rule of
+// the front end: while hardening is on, scalar calls skip the magazines,
+// so an overflow into an object's guard word is detected at its Free
+// call — as a typed error with the counter algebra intact — and nothing
+// parks in a magazine.
+func TestMagazineHardenedFreeDetectsCanarySmash(t *testing.T) {
 	a := New(WithSeed(19), WithClock(NewLogicalClock()), WithMeshing(false),
-		WithHardening(true), writeControl("frontend.magazine_objects", 8))
+		WithHardening(true))
 	p, err := a.Malloc(64)
 	if err != nil {
 		t.Fatal(err)
@@ -115,15 +117,18 @@ func TestMagazineHardenedFlushDetectsCanarySmash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Free(p); err != nil {
-		t.Fatal(err) // parked in the magazine; canary not yet checked
-	}
-	// Overflow into the guard word while the object sits in the cache.
+	// Overflow into the guard word while the object is live.
 	if err := a.Write(p+Ptr(usable), []byte{0xAA}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Flush(); !errors.Is(err, ErrHeapCorruption) {
-		t.Fatalf("flush over a smashed canary = %v, want ErrHeapCorruption", err)
+	if err := a.Free(p); !errors.Is(err, ErrHeapCorruption) {
+		t.Fatalf("free over a smashed canary = %v, want ErrHeapCorruption", err)
+	}
+	if fills := readFrontU64(t, a, "stats.frontend.fills"); fills != 0 {
+		t.Fatalf("hardened traffic filled %d magazines", fills)
+	}
+	if cached, _ := a.ReadControl("stats.frontend.cached_objects"); cached.(int64) != 0 {
+		t.Fatalf("stats.frontend.cached_objects = %d under hardening, want 0", cached)
 	}
 	st := a.Stats().Harden
 	if st.Violations == 0 {
@@ -146,12 +151,11 @@ func TestMagazineHardenedFlushDetectsCanarySmash(t *testing.T) {
 	requireCleanInvariants(t, a)
 }
 
-// TestMagazineHardenedRoundTripStaysClean drives hardened traffic through
-// the magazines and checks clean traffic stays clean: the fill boundary's
-// poison verification and the flush boundary's canary checks all pass.
+// TestMagazineHardenedRoundTripStaysClean drives hardened scalar traffic
+// through the front end and checks clean traffic stays clean: the poison
+// verifications and canary checks at each call all pass.
 func TestMagazineHardenedRoundTripStaysClean(t *testing.T) {
-	a := New(WithSeed(23), WithClock(NewLogicalClock()), WithHardening(true),
-		writeControl("frontend.magazine_objects", 16))
+	a := New(WithSeed(23), WithClock(NewLogicalClock()), WithHardening(true))
 	for round := 0; round < 3; round++ {
 		var ptrs []Ptr
 		for i := 0; i < 100; i++ {
@@ -195,7 +199,7 @@ func TestMagazineHardenedRoundTripStaysClean(t *testing.T) {
 // addresses stay stable, so magazine-held (and soon-to-be-reused)
 // addresses survive passes unscathed.
 func TestMagazineMeshingKeepsAddressesValid(t *testing.T) {
-	a := New(WithSeed(29), WithClock(NewLogicalClock()), writeControl("frontend.magazine_objects", 16))
+	a := New(WithSeed(29), WithClock(NewLogicalClock()))
 	// Fragment the heap through the magazine path: allocate everything
 	// first (interleaving frees would let the magazines recycle a tiny
 	// working set and never build fragmentation — by design), then free

@@ -15,7 +15,7 @@ func FuzzSetControl(f *testing.F) {
 	keys := ControlKeys()
 	f.Add("mesh.period", "250ms", int64(0), false, uint8(0))
 	f.Add("mesh.enabled", "", int64(0), true, uint8(3))
-	f.Add("frontend.magazine_objects", "", int64(-1), false, uint8(1))
+	f.Add("mesh.max_pause", "0s", int64(0), false, uint8(0))
 	f.Add("harden.enabled", "yes", int64(1), false, uint8(0))
 	f.Add("fault.plan", "harden.canary:count=1", int64(0), false, uint8(0))
 	f.Add("fault.plan", "bogus.site:rate=2", int64(0), false, uint8(0))

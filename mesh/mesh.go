@@ -65,22 +65,21 @@
 //
 // # Front-end caches
 //
-// Scalar Malloc/Free additionally support per-stripe magazine caches
-// (Control("frontend.magazine_objects", n)):
-// each stripe's cached heap carries one fixed-capacity array of object
-// addresses per size class, refilled and drained in half-capacity
-// batches through the batch machinery. A magazine hit is a stripe swap
-// plus an array pop — zero shared atomic operations, no locks — which
-// brings scalar per-op cost to batch-path territory. Magazines are off
-// by default because their frees trust the caller like the paper's
-// fast path (§4.1): the locked path's invalid/double-free detection and
-// the hardening plane's poison/quarantine work are deferred to the
-// magazine flush (canary/poison checks still run, at the fill and flush
-// boundaries), and heap-level accounting counts cached objects as
-// allocated until flushed (exact again at quiescence; the skew is
-// observable as stats.frontend.cached_objects). See internal/frontend
-// for the layer diagram and stats.frontend.* for hit/miss/fill/flush
-// observability.
+// Scalar Malloc/Free run through per-stripe magazine caches: each
+// stripe's cached heap carries one 8-object array of object addresses
+// per size class, refilled and drained in half-capacity batches through
+// the batch machinery. A magazine hit is a stripe swap plus an array pop
+// or push — zero shared atomic operations, no locks — which brings
+// scalar per-op cost to batch-path territory. A magazine push trusts the
+// caller like the paper's fast path (§4.1): a double free of a cached
+// object is detected only when the magazine flushes to the locked path.
+// While hardening is on, and for any free of a hardened span, scalar
+// calls skip the magazines, so every hardening check runs at the call.
+// The heap counts cached objects as allocated until they flush; Stats
+// corrects for them, so its Allocs, Frees and Live are exact whenever no
+// call is in flight (stats.frontend.cached_objects reports the cached
+// objects). See internal/frontend for the layer diagram and
+// stats.frontend.* for hit/miss/fill/flush observability.
 //
 // # Background meshing
 //
@@ -454,8 +453,18 @@ func (a *Allocator) Mesh() int {
 	return a.g.Mesh()
 }
 
-// Stats returns a snapshot of allocator state.
-func (a *Allocator) Stats() Stats { return a.g.Stats() }
+// Stats returns a snapshot of allocator state. The heap counts objects
+// cached in front-end magazines as allocated until they flush; Stats
+// corrects Allocs, Frees and Live by the magazines' books, so they are
+// exact whenever no call is in flight.
+func (a *Allocator) Stats() Stats {
+	s := a.g.Stats()
+	k := a.front.Skew()
+	s.Allocs += uint64(k.Pops)
+	s.Frees += uint64(k.Pops + k.Objects)
+	s.Live -= k.Bytes
+	return s
+}
 
 // TraceSnapshot returns a consistent snapshot of the flight recorder:
 // every surviving event across all sources in merged time order, with
@@ -471,10 +480,9 @@ func (a *Allocator) RSS() int64 { return a.g.OS().RSS() }
 
 // Flush relinquishes every cached heap's attached spans to the global
 // heap, making them meshing candidates: front-end stripes drain first
-// (magazines flush their cached objects, restoring exact
-// application-level accounting) and their heaps join the pool, then
-// every idle pooled heap detaches. Heaps held by calls in flight are
-// unaffected and the allocator remains fully usable. Call it at
+// (magazines flush their cached objects) and their heaps join the pool,
+// then every idle pooled heap detaches. Heaps held by calls in flight
+// are unaffected and the allocator remains fully usable. Call it at
 // quiescent points (before a final Mesh, or when a traffic burst ends)
 // — the stripes and pool repopulate on demand.
 func (a *Allocator) Flush() error { return errors.Join(a.front.Flush(), a.pool.flush()) }
